@@ -89,11 +89,10 @@ func run(args []string) error {
 		killStep = fs.String("kill-at-step", "", "deterministic step-triggered kill list rank@step,... (e.g. 4@38,5@38)")
 		corrupt  = fs.String("corrupt", "", "physical ranks injecting silent data corruption, comma-separated")
 
-		peerRep  = fs.Int("peer-replicas", 0, "replicate each sphere's checkpoint shard to this many buddy spheres' memories (0 = peer tier off)")
-		peerSh   = fs.String("peer-shards", "", "erasure-code the peer tier as k+m Reed-Solomon shards spread across spheres (e.g. 4+2: any 2 sphere losses recoverable at ~1.5x memory); exclusive with -peer-replicas")
+		peerSh   = fs.String("peer-shards", "", "keep checkpoints in peer memory as k+m Reed-Solomon shards spread across k+m spheres: any m sphere losses recoverable at (k+m)/k memory (e.g. 4+2); 1+r is full copies in r buddy spheres (empty = peer tier off)")
 		peerBudg = fs.Int64("peer-budget-bytes", 0, "cap the peer tier's resident bytes per rank, evicting whole oldest generations when exceeded (0 = unlimited)")
-		stableEv = fs.Int("stable-every", 1, "push every Nth peer generation to the stable tier (with -peer-replicas or -peer-shards)")
-		partialR = fs.Bool("partial-restart", false, "recover sphere deaths in place from the peer tier (requires -peer-replicas or -peer-shards, and -interval)")
+		stableEv = fs.Int("stable-every", 1, "push every Nth peer generation to the stable tier (with -peer-shards)")
+		partialR = fs.Bool("partial-restart", false, "recover sphere deaths in place from the peer tier (requires -peer-shards and -interval)")
 
 		metricsF = fs.String("metrics", "", "write the job metrics snapshot as JSON to this file and print the rendered table")
 		traceF   = fs.String("trace", "", "write the structured event trace as JSONL to this file")
@@ -124,12 +123,12 @@ func run(args []string) error {
 		// defaults are simply neutralised.
 		set := map[string]bool{}
 		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		for _, name := range []string{"interval", "max-restarts", "peer-replicas", "peer-shards", "peer-budget-bytes", "partial-restart", "async-checkpoint", "kill-once"} {
+		for _, name := range []string{"interval", "max-restarts", "peer-shards", "peer-budget-bytes", "partial-restart", "async-checkpoint", "kill-once"} {
 			if set[name] {
 				return fmt.Errorf("-%s is meaningless with -recovery shrink (the job never restarts or restores)", name)
 			}
 		}
-		*interval, *restarts, *peerRep, *partialR = 0, 0, 0, false
+		*interval, *restarts, *partialR = 0, 0, false
 		*peerSh, *peerBudg = "", 0
 	default:
 		return fmt.Errorf("unknown -recovery %q (restart | shrink)", *recovery)
@@ -157,7 +156,6 @@ func run(args []string) error {
 		stepKills:    *killStep,
 		mtbf:         *mtbf,
 
-		peerReplicas:   *peerRep,
 		peerShards:     *peerSh,
 		peerBudget:     *peerBudg,
 		partialRestart: *partialR,
@@ -180,18 +178,17 @@ func run(args []string) error {
 		return runProcWorker(pf, *procRank, *procNetwork, *procConnect, factory)
 	}
 	cfg := core.Config{
-		Ranks:          *np,
-		Degree:         *degree,
-		RecoveryPolicy: core.RecoveryPolicy(*recovery),
-		StepInterval:   *interval,
-		NodeMTBF:       *mtbf,
-		Seed:           *seed,
-		MaxRestarts:    *restarts,
-		AttemptTimeout: *timeout,
-		ComputeDelay:   *compute,
-		SendDelay:      *sendLat,
-		ScheduleOnce:   *killOnce,
-		PeerReplicas:     *peerRep,
+		Ranks:            *np,
+		Degree:           *degree,
+		RecoveryPolicy:   core.RecoveryPolicy(*recovery),
+		StepInterval:     *interval,
+		NodeMTBF:         *mtbf,
+		Seed:             *seed,
+		MaxRestarts:      *restarts,
+		AttemptTimeout:   *timeout,
+		ComputeDelay:     *compute,
+		SendDelay:        *sendLat,
+		ScheduleOnce:     *killOnce,
 		PeerDataShards:   peerData,
 		PeerParityShards: peerParity,
 		PeerBudgetBytes:  *peerBudg,
@@ -448,7 +445,8 @@ func parseStepKills(spec string) ([]core.StepKill, error) {
 	return out, nil
 }
 
-// parseShardSpec parses "k+m" into erasure data/parity shard counts.
+// parseShardSpec parses "k+m" into the peer tier's data/parity shard
+// counts, both at least 1.
 func parseShardSpec(spec string) (data, parity int, err error) {
 	kStr, mStr, hasPlus := strings.Cut(spec, "+")
 	if !hasPlus {
@@ -461,6 +459,9 @@ func parseShardSpec(spec string) (data, parity int, err error) {
 	parity, err = strconv.Atoi(strings.TrimSpace(mStr))
 	if err != nil {
 		return 0, 0, fmt.Errorf("bad -peer-shards parity count %q: %w", spec, err)
+	}
+	if data < 1 || parity < 1 {
+		return 0, 0, fmt.Errorf("bad -peer-shards %q: k and m must both be >= 1 (1+r is full copies)", spec)
 	}
 	return data, parity, nil
 }

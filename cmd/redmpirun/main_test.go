@@ -162,20 +162,68 @@ func TestParseStepKills(t *testing.T) {
 	}
 }
 
-// TestPartialRestartFlagsSmoke exercises the -peer-replicas /
-// -partial-restart / -kill-at-step flags end to end: a whole-sphere kill
-// at step 38 must be absorbed in place (zero full restarts).
+// TestPartialRestartFlagsSmoke exercises the -peer-shards /
+// -partial-restart / -kill-at-step flags end to end with full copies
+// (1+1): a whole-sphere kill at step 38 must be absorbed in place, the
+// survivors restoring from their own copies and the revived ranks
+// fetching theirs from a buddy. Recomputed steps are not pinned: they
+// depend on how far the survivors got before the interrupt.
 func TestPartialRestartFlagsSmoke(t *testing.T) {
+	metricsPath := filepath.Join(t.TempDir(), "metrics.json")
 	args := []string{
 		"-app", "cg", "-np", "4", "-r", "2",
 		"-grid", "6", "-iters", "60",
 		"-interval", "5", "-compute", "0s",
-		"-peer-replicas", "1", "-stable-every", "4", "-partial-restart",
+		"-peer-shards", "1+1", "-stable-every", "4", "-partial-restart",
 		"-kill-at-step", "4@38,5@38",
 		"-max-restarts", "3",
+		"-metrics", metricsPath,
 	}
 	if err := run(args); err != nil {
 		t.Fatalf("run(%v): %v", args, err)
+	}
+	data, err := os.ReadFile(metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap obs.Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]uint64{
+		"runner_restarts_total":      0,
+		"partial_restarts_total":     1,
+		"peer_fetch_exhausted_total": 0,
+		"peer_fetch_local_total":     6,
+		"peer_fetch_remote_total":    2,
+		"peerstore_replicas_total":   48,
+	} {
+		if got := snap.Counter(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if got := snap.Gauge("peer_store_resident_bytes"); got != 6336 {
+		t.Errorf("peer_store_resident_bytes = %d, want 6336", got)
+	}
+}
+
+// TestPeerShardsFlagValidation pins the -peer-shards contract: k and m
+// must both be at least 1, and k+m spheres must exist.
+func TestPeerShardsFlagValidation(t *testing.T) {
+	for _, spec := range []string{"1+1", "1+3", "4+2"} {
+		if _, _, err := parseShardSpec(spec); err != nil {
+			t.Errorf("parseShardSpec(%q): %v", spec, err)
+		}
+	}
+	for _, spec := range []string{"0+1", "2+0", "0+0", "-1+2", "2", "x+1", "1+y"} {
+		if _, _, err := parseShardSpec(spec); err == nil {
+			t.Errorf("parseShardSpec(%q) accepted", spec)
+		}
+	}
+	args := []string{"-app", "cg", "-np", "4", "-r", "1", "-grid", "4", "-iters", "4",
+		"-interval", "2", "-compute", "0s", "-peer-shards", "3+2"}
+	if err := run(args); err == nil {
+		t.Error("-peer-shards 3+2 over 4 spheres accepted")
 	}
 }
 
@@ -230,7 +278,7 @@ func TestShrinkRejectsRollbackFlags(t *testing.T) {
 	for _, extra := range [][]string{
 		{"-interval", "5"},
 		{"-max-restarts", "2"},
-		{"-peer-replicas", "1"},
+		{"-peer-shards", "1+1"},
 		{"-partial-restart"},
 		{"-kill-once"},
 	} {

@@ -44,7 +44,6 @@ type procFlags struct {
 	mtbf         time.Duration
 
 	// Flags the proc transport rejects (checked in validate).
-	peerReplicas   int
 	peerShards     string
 	peerBudget     int64
 	partialRestart bool
@@ -59,8 +58,6 @@ type procFlags struct {
 // relay and land as real SIGKILLs.
 func (pf procFlags) validate() error {
 	switch {
-	case pf.peerReplicas > 0:
-		return fmt.Errorf("-peer-replicas is not supported with -transport proc (the peer tier shares memory between ranks)")
 	case pf.peerShards != "":
 		return fmt.Errorf("-peer-shards is not supported with -transport proc (the peer tier shares memory between ranks)")
 	case pf.peerBudget > 0:

@@ -222,23 +222,22 @@ func (cl *Client) drainLocal() error {
 }
 
 // commitPending commits the deferred generation (if any) now that a
-// barrier has proven every rank's write for it drained. All replicas of
-// rank 0 may call Commit; it is idempotent.
+// barrier has proven every rank's write for it drained. Only lead, the
+// writer replica of rank 0, commits: the barrier does not order a twin
+// of rank 0 after its own sphere's writer (see checkpointSync).
 func (cl *Client) commitPending(lead bool) error {
 	if !cl.hasPending {
 		return nil
 	}
-	if cl.comm.Rank() == 0 {
+	if lead {
 		if err := cl.cfg.Storage.Commit(cl.pendingGen, cl.comm.Size()); err != nil {
 			return fmt.Errorf("checkpoint commit gen %d: %w", cl.pendingGen, err)
 		}
-		if lead {
-			cl.met.committed.Inc()
-			cl.cfg.Trace.Emit("ckpt_commit", 0, -1, int(cl.pendingGen), map[string]any{
-				"ranks": cl.comm.Size(),
-				"async": true,
-			})
-		}
+		cl.met.committed.Inc()
+		cl.cfg.Trace.Emit("ckpt_commit", 0, -1, int(cl.pendingGen), map[string]any{
+			"ranks": cl.comm.Size(),
+			"async": true,
+		})
 	}
 	cl.hasPending = false
 	return nil

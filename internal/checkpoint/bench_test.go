@@ -60,64 +60,15 @@ func BenchmarkCompressedRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkPeerReplicateCommit measures the peer tier's write path: every
-// sphere writer stashes locally and pushes its shard to a buddy over
-// messages, then commits — the steady-state cost of peer checkpointing.
-// The resident footprint (replicas+1 full copies per sphere, double
-// buffered) is reported for comparison with BenchmarkPeerErasureCommit.
+// BenchmarkPeerReplicateCommit measures the peer tier's write path with
+// full copies (k=1 data + m=1 parity shard: one buddy copy per sphere):
+// every sphere writer stashes locally and pushes its copy to a buddy
+// over messages, then commits — the steady-state cost of peer
+// checkpointing. The resident footprint (1+m full copies per sphere,
+// double buffered) is reported for comparison with
+// BenchmarkPeerErasureCommit.
 func BenchmarkPeerReplicateCommit(b *testing.B) {
-	state := bytes.Repeat([]byte{0xAB}, 4<<10)
-	b.SetBytes(benchGens * 4 * int64(len(state)))
-	b.ReportAllocs()
-	var resident int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		ps, err := NewPeerStore(PeerStoreConfig{Spheres: testSpheres(), Replicas: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		w, err := simmpi.NewWorld(8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		views := make([]Storage, 4)
-		for p := 0; p < 8; p++ {
-			c, cerr := w.Comm(p)
-			if cerr != nil {
-				b.Fatal(cerr)
-			}
-			wg.Add(1)
-			go func(c *simmpi.Comm) {
-				defer wg.Done()
-				ps.Serve(c)
-			}(c)
-			if p%2 == 0 {
-				views[p/2] = ps.View(c)
-			}
-		}
-		b.StartTimer()
-		for g := uint64(1); g <= benchGens; g++ {
-			for v := 0; v < 4; v++ {
-				if err := views[v].Write(g, v, state); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := views[0].Commit(g, 4); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		ps.Settle()
-		ps.mu.Lock()
-		resident = ps.resident
-		ps.mu.Unlock()
-		w.Interrupt()
-		wg.Wait()
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(resident), "resident-bytes")
+	benchPeerCommit(b, 1, 1, false)
 }
 
 // benchDelayStorage emulates a stable store with a fixed per-image write
@@ -241,7 +192,7 @@ func BenchmarkPeerCodec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < frames; j++ {
-			fr := peerFrame{op: opReplicate, gen: uint64(j), v: 3, idx: shardFull, size: uint32(len(payload)), payload: payload}
+			fr := peerFrame{op: opReplicate, gen: uint64(j), v: 3, idx: 1, size: uint32(len(payload)), payload: payload}
 			buf, pb := snapPool.acquire(peerHeaderLen + len(payload))
 			encodePeerInto(buf, fr)
 			got, err := decodePeer(buf)
@@ -258,9 +209,19 @@ func BenchmarkPeerCodec(b *testing.B) {
 // BenchmarkPeerErasureCommit is BenchmarkPeerReplicateCommit's workload
 // on the erasure-coded layout (k=2 data + m=1 parity over the same four
 // spheres): the same snapshots cost (k+m)/k resident bytes per sphere
-// instead of replicas+1 full copies. The resident footprint is reported
-// per iteration so the scaling is visible next to the gated numbers.
+// instead of 1+m full copies. The resident footprint is reported per
+// iteration so the scaling is visible next to the gated numbers. Unlike
+// the full-copy benchmark it settles every generation inside the timer.
 func BenchmarkPeerErasureCommit(b *testing.B) {
+	benchPeerCommit(b, 2, 1, true)
+}
+
+// benchPeerCommit writes and commits benchGens generations of a 4 KiB
+// snapshot per sphere over testSpheres with a k+m peer layout.
+// settleEachGen waits for the shard frames of every generation before
+// its commit, inside the timer; otherwise the store settles once, after
+// the timed loop.
+func benchPeerCommit(b *testing.B, k, m int, settleEachGen bool) {
 	state := bytes.Repeat([]byte{0xAB}, 4<<10)
 	b.SetBytes(benchGens * 4 * int64(len(state)))
 	b.ReportAllocs()
@@ -268,7 +229,7 @@ func BenchmarkPeerErasureCommit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		ps, err := NewPeerStore(PeerStoreConfig{Spheres: testSpheres(), DataShards: 2, ParityShards: 1})
+		ps, err := NewPeerStore(PeerStoreConfig{Spheres: testSpheres(), DataShards: k, ParityShards: m})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -299,12 +260,17 @@ func BenchmarkPeerErasureCommit(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			ps.Settle()
+			if settleEachGen {
+				ps.Settle()
+			}
 			if err := views[0].Commit(g, 4); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.StopTimer()
+		if !settleEachGen {
+			ps.Settle()
+		}
 		ps.mu.Lock()
 		resident = ps.resident
 		ps.mu.Unlock()

@@ -178,7 +178,8 @@ func (cl *Client) MaybeCheckpoint(step int, state []byte, writer bool) (bool, er
 //     bookmark protocol); retries with barriers allow stragglers'
 //     matching receives to complete.
 //  3. Every writer stores its rank's state under the next generation.
-//  4. Barrier, then rank 0 commits the generation atomically.
+//  4. Barrier, then rank 0's writer replica commits the generation
+//     atomically.
 //
 // The generation number is agreed by broadcasting rank 0's view, so
 // clients that joined after a restart stay aligned.
@@ -238,16 +239,19 @@ func (cl *Client) checkpointSync(state []byte, writer, lead bool) error {
 	if err := mpi.Barrier(cl.comm); err != nil {
 		return fmt.Errorf("checkpoint commit barrier: %w", err)
 	}
-	if cl.comm.Rank() == 0 {
+	// Only the writer replica of rank 0 commits. The barrier proves that
+	// every live replica of the other ranks has written, but a twin of
+	// rank 0 never hears from its own sphere: it can leave the barrier
+	// before rank 0's writer has written, and its commit would then find
+	// the generation incomplete.
+	if lead {
 		if err := cl.cfg.Storage.Commit(gen, cl.comm.Size()); err != nil {
 			return fmt.Errorf("checkpoint commit: %w", err)
 		}
-		if lead {
-			cl.met.committed.Inc()
-			cl.cfg.Trace.Emit("ckpt_commit", 0, -1, int(gen), map[string]any{
-				"ranks": cl.comm.Size(),
-			})
-		}
+		cl.met.committed.Inc()
+		cl.cfg.Trace.Emit("ckpt_commit", 0, -1, int(gen), map[string]any{
+			"ranks": cl.comm.Size(),
+		})
 	}
 	// Final barrier so no rank races ahead and checkpoints generation
 	// gen+1 before gen is committed.

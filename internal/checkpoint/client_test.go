@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/mpi"
@@ -296,6 +297,67 @@ func TestCheckpointUnderRedundancy(t *testing.T) {
 	}
 	if _, ranks, ok, _ := store.Latest(); !ok || ranks != n {
 		t.Fatalf("store holds %d virtual ranks, want %d", ranks, n)
+	}
+}
+
+// commitCounter is a Storage that counts Commit calls.
+type commitCounter struct {
+	Storage
+	commits atomic.Int64
+}
+
+func (s *commitCounter) Commit(gen uint64, n int) error {
+	s.commits.Add(1)
+	return s.Storage.Commit(gen, n)
+}
+
+// TestOnlyRankZeroWriterCommits pins who commits under redundancy: the
+// writer replica of rank 0, once per generation. A twin of rank 0 can
+// leave the commit barrier before its writer has written (it never
+// hears from its own sphere), so a commit from it could find the
+// generation incomplete.
+func TestOnlyRankZeroWriterCommits(t *testing.T) {
+	const n, gens = 3, 4
+	for _, async := range []bool{false, true} {
+		store := &commitCounter{Storage: NewMemStorage()}
+		m, err := redundancy.NewRankMap(n, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := simmpi.NewWorld(m.PhysicalSize())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pipe *Pipeline
+		if async {
+			pipe = NewPipeline(1)
+		}
+		appErr, failures := w.Run(func(pc *simmpi.Comm) error {
+			rc, err := redundancy.Wrap(pc, m, mpi.WithLiveness(w))
+			if err != nil {
+				return err
+			}
+			cl, err := NewClient(rc, Config{Storage: store, Pipeline: pipe})
+			if err != nil {
+				return err
+			}
+			state := []byte(fmt.Sprintf("virtual %d", rc.Rank()))
+			for g := 0; g < gens; g++ {
+				if err := cl.Checkpoint(state, rc.ReplicaIndex() == 0); err != nil {
+					return err
+				}
+			}
+			return cl.Drain()
+		})
+		if pipe != nil {
+			pipe.Close()
+		}
+		if appErr != nil || len(failures) != 0 {
+			t.Fatalf("async=%v: app error %v, failures %v", async, appErr, failures)
+		}
+		if got := store.commits.Load(); got != gens {
+			t.Errorf("async=%v: %d commits for %d generations", async, got, gens)
+		}
 	}
 }
 

@@ -7,9 +7,8 @@ import (
 )
 
 // Peer wire codec. Frames carry an opcode, the generation, the virtual
-// rank, the shard index (shardFull for whole-image frames), and the
-// original snapshot size a reconstructor needs to strip the erasure
-// padding:
+// rank, the shard index, and the original snapshot size a reconstructor
+// needs to strip the erasure padding:
 //
 //	op (1) | gen (8 LE) | vrank (8 LE) | shard idx (2 LE, int16) | size (4 LE)
 //
@@ -20,16 +19,12 @@ import (
 
 const peerHeaderLen = 23
 
-// shardFull marks a frame (or stored image) holding a whole snapshot
-// rather than one erasure shard.
-const shardFull = int16(-1)
-
 // peerFrame is one decoded peer-protocol message.
 type peerFrame struct {
 	op      byte
 	gen     uint64
 	v       int
-	idx     int16  // shard index, or shardFull
+	idx     int16  // shard index
 	size    uint32 // original snapshot size (pre-padding)
 	payload []byte
 }

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,11 +31,10 @@ const (
 	opMiss                       // holder -> restorer: nothing held
 )
 
-// ErrPeerFetchExhausted reports that every candidate holder of a rank's
-// checkpoint image was dead or empty after the configured retry rounds
-// (in erasure mode: fewer than k distinct shards were recoverable); the
-// orchestrator falls back to a full coordinated restart from stable
-// storage.
+// ErrPeerFetchExhausted reports that fewer than DataShards distinct
+// shards of a rank's checkpoint image were recoverable from live holders
+// after the configured retry rounds; the orchestrator falls back to a
+// full coordinated restart from stable storage.
 var ErrPeerFetchExhausted = errors.New("checkpoint: peer fetch exhausted")
 
 // maxPeerShards bounds DataShards+ParityShards so shard coverage checks
@@ -53,18 +53,14 @@ type PeerStoreConfig struct {
 	// Spheres is the replica topology: Spheres[v] lists the physical
 	// ranks of virtual rank v (redundancy.RankMap.Sphere order).
 	Spheres [][]int
-	// Replicas is k, the number of buddy ranks in *other* spheres that
-	// receive a full copy of each rank's image (clamped to the number of
-	// other spheres). Mutually exclusive with DataShards.
-	Replicas int
-	// DataShards and ParityShards switch the store from full-copy
-	// replication to Reed-Solomon erasure coding: each snapshot of size
-	// S is split into DataShards data shards plus ParityShards parity
-	// shards of ceil(S/DataShards) bytes each, spread across
-	// DataShards+ParityShards replica spheres, so the tier costs
-	// ~S·(k+m)/k resident bytes instead of S·(replicas+1) while any
-	// ParityShards sphere losses remain recoverable. DataShards of 0
-	// (or 1) keeps the full-copy mode.
+	// DataShards (k) and ParityShards (m) set the layout: each snapshot
+	// of size S is split into k data shards plus m Reed-Solomon parity
+	// shards of ceil(S/k) bytes each, spread across k+m replica spheres,
+	// so the tier costs S·(k+m)/k resident bytes per snapshot and any m
+	// sphere losses remain recoverable. k = 1 is full-copy replication
+	// (ReStore): every shard is the whole snapshot, held by the own
+	// sphere plus m buddy spheres, at S·(1+m). Both must be >= 1 and
+	// k+m may not exceed the number of spheres.
 	DataShards   int
 	ParityShards int
 	// BudgetBytes caps the resident peer-tier bytes of any one physical
@@ -103,14 +99,13 @@ type PeerStoreConfig struct {
 }
 
 // PeerStore keeps checkpoint images replicated in the memory of peer
-// ranks, after ReStore (Hübner et al. 2022): each rank stashes its own
-// image (or, in erasure mode, its sphere's shard) locally and the
-// writer replica pushes copies — full images to Replicas buddies, or
-// one erasure shard to each of DataShards+ParityShards−1 neighbouring
-// spheres — over simmpi messages. Generations are double-buffered — a
-// commit publishes atomically and garbage-collects everything older
-// than the previous committed generation, so a failure mid-commit can
-// never corrupt the last good generation.
+// ranks, after ReStore (Hübner et al. 2022): each rank stashes its
+// sphere's shard 0 locally and the writer replica pushes one shard to
+// each of the DataShards+ParityShards−1 neighbouring spheres over simmpi
+// messages. Generations are double-buffered — a commit publishes
+// atomically and garbage-collects everything older than the previous
+// committed generation, so a failure mid-commit can never corrupt the
+// last good generation.
 //
 // The control plane (holder registry, commit records) lives in shared
 // memory under a mutex, standing in for ReStore's collective commit
@@ -120,11 +115,10 @@ type PeerStoreConfig struct {
 // lists, and payload buffers all recycle — so steady-state replication
 // allocates nothing per generation.
 type PeerStore struct {
-	cfg     PeerStoreConfig
-	nPhys   int
-	nVirt   int
-	ownerOf map[int]int // physical rank -> its sphere (virtual rank)
-	// codec is non-nil in erasure mode.
+	cfg         PeerStoreConfig
+	nPhys       int
+	nVirt       int
+	ownerOf     map[int]int // physical rank -> its sphere (virtual rank)
 	codec       *erasure.Codec
 	totalShards int
 
@@ -150,7 +144,7 @@ type PeerStore struct {
 }
 
 type peerMetrics struct {
-	replicas   *obs.Counter // buddy copies/shards pushed
+	replicas   *obs.Counter // buddy shards pushed
 	bytes      *obs.Counter // payload bytes replicated to buddies
 	localHits  *obs.Counter // restores served from the rank's own memory
 	remoteHits *obs.Counter // restores served by a peer fetch
@@ -169,21 +163,21 @@ type rankShard struct {
 	resident int64
 }
 
-// rankGen is the set of images one physical rank holds for one
-// generation. imgs is sorted by virtual rank and stays small: a rank
-// holds its own sphere's entry plus whatever shards its buddies pushed.
+// rankGen is the set of shards one physical rank holds for one
+// generation, at most one per virtual rank. imgs stays small: a rank
+// holds its own sphere's shard plus whatever shards its buddies pushed.
 type rankGen struct {
 	gen   uint64
 	imgs  []image
 	bytes int64
 }
 
-// image is one resident payload: a full snapshot (idx == shardFull) or
-// one erasure shard. data aliases a pooled buffer when pb is non-nil.
+// image is one resident shard. data aliases a pooled buffer when pb is
+// non-nil.
 type image struct {
 	v    int32
 	idx  int16
-	size uint32 // original snapshot size (== len(data) for full images)
+	size uint32 // original snapshot size (the shard may be padded)
 	data []byte
 	pb   *mpi.PooledBuf
 }
@@ -194,7 +188,7 @@ type genCtrl struct {
 	// committedN is the published rank count; 0 means uncommitted.
 	committedN int
 	// holders[v] is the registry of physical ranks expected to hold
-	// v's image or shards for this generation.
+	// v's shards for this generation.
 	holders [][]holderRef
 }
 
@@ -207,9 +201,6 @@ type holderRef struct {
 func NewPeerStore(cfg PeerStoreConfig) (*PeerStore, error) {
 	if len(cfg.Spheres) == 0 {
 		return nil, fmt.Errorf("checkpoint: peer store needs a sphere map")
-	}
-	if cfg.Replicas < 0 {
-		return nil, fmt.Errorf("checkpoint: peer replicas = %d", cfg.Replicas)
 	}
 	if cfg.StableEvery <= 0 {
 		cfg.StableEvery = 1
@@ -239,28 +230,23 @@ func NewPeerStore(cfg PeerStoreConfig) (*PeerStore, error) {
 			}
 		}
 	}
-	if cfg.DataShards != 0 || cfg.ParityShards != 0 {
-		switch {
-		case cfg.Replicas > 0:
-			return nil, fmt.Errorf("checkpoint: Replicas and DataShards are mutually exclusive")
-		case cfg.DataShards < 2:
-			return nil, fmt.Errorf("checkpoint: erasure coding needs DataShards >= 2, got %d", cfg.DataShards)
-		case cfg.ParityShards < 1:
-			return nil, fmt.Errorf("checkpoint: erasure coding needs ParityShards >= 1, got %d", cfg.ParityShards)
-		case cfg.DataShards+cfg.ParityShards > maxPeerShards:
-			return nil, fmt.Errorf("checkpoint: DataShards+ParityShards = %d exceeds %d",
-				cfg.DataShards+cfg.ParityShards, maxPeerShards)
-		case cfg.DataShards+cfg.ParityShards > len(cfg.Spheres):
-			return nil, fmt.Errorf("checkpoint: DataShards+ParityShards = %d needs that many spheres, have %d",
-				cfg.DataShards+cfg.ParityShards, len(cfg.Spheres))
-		}
-		codec, err := erasure.New(cfg.DataShards, cfg.ParityShards)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: %w", err)
-		}
-		ps.codec = codec
-		ps.totalShards = cfg.DataShards + cfg.ParityShards
+	t := cfg.DataShards + cfg.ParityShards
+	switch {
+	case cfg.DataShards < 1 || cfg.ParityShards < 1:
+		return nil, fmt.Errorf("checkpoint: peer tier needs DataShards >= 1 and ParityShards >= 1, got %d+%d",
+			cfg.DataShards, cfg.ParityShards)
+	case t > maxPeerShards:
+		return nil, fmt.Errorf("checkpoint: DataShards+ParityShards = %d exceeds %d", t, maxPeerShards)
+	case t > len(cfg.Spheres):
+		return nil, fmt.Errorf("checkpoint: DataShards+ParityShards = %d needs that many spheres, have %d",
+			t, len(cfg.Spheres))
 	}
+	codec, err := erasure.New(cfg.DataShards, cfg.ParityShards)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	ps.codec = codec
+	ps.totalShards = t
 	if cfg.BudgetBytes < 0 {
 		return nil, fmt.Errorf("checkpoint: peer budget = %d bytes", cfg.BudgetBytes)
 	}
@@ -278,30 +264,23 @@ func NewPeerStore(cfg PeerStoreConfig) (*PeerStore, error) {
 	return ps, nil
 }
 
-// Erasure reports whether the store runs in erasure-coded mode.
-func (ps *PeerStore) Erasure() bool { return ps.codec != nil }
-
-// Buddies returns the physical ranks that receive copies of virtual
-// rank v's image: the writer replica of each of the next spheres
-// (wrapping, own sphere excluded) — Replicas of them in full-copy mode,
-// DataShards+ParityShards−1 in erasure mode (one shard each; shard 0
-// stays in v's own sphere). The set is a function of the sphere alone,
-// so every replica of v pushes to the same buddies and tests can
-// predict exactly which deaths exhaust a fetch.
+// Buddies returns the physical ranks that receive shards of virtual
+// rank v's image: buddy i−1 is the writer replica of sphere (v+i) mod n
+// and holds shard i, for i = 1..DataShards+ParityShards−1 (shard 0 stays
+// in v's own sphere). The set is a function of the sphere alone, so
+// every replica of v pushes to the same buddies and tests can predict
+// exactly which deaths exhaust a fetch.
 func (ps *PeerStore) Buddies(v int) []int {
-	n := len(ps.cfg.Spheres)
-	k := ps.cfg.Replicas
-	if ps.codec != nil {
-		k = ps.totalShards - 1
-	}
-	if k > n-1 {
-		k = n - 1
-	}
-	out := make([]int, 0, k)
-	for i := 1; len(out) < k; i++ {
-		out = append(out, ps.cfg.Spheres[(v+i)%n][0])
+	out := make([]int, ps.totalShards-1)
+	for i := range out {
+		out[i] = ps.buddy(v, i+1)
 	}
 	return out
+}
+
+// buddy is the physical rank that holds shard i of v's image (i >= 1).
+func (ps *PeerStore) buddy(v, i int) int {
+	return ps.cfg.Spheres[(v+i)%ps.nVirt][0]
 }
 
 func (ps *PeerStore) alive(p int) bool {
@@ -347,17 +326,15 @@ func (ps *PeerStore) releaseCtrlLocked(c *genCtrl) {
 	ps.freeCtrl = append(ps.freeCtrl, c)
 }
 
-// registerHolderLocked records that phys holds shard idx (or the full
-// image) of v for gen. A full image upgrades a previous shard record
-// for the same rank.
+// registerHolderLocked records that phys holds shard idx of v for gen,
+// replacing any earlier record for the same rank (a rank holds at most
+// one shard of each virtual rank).
 func (ps *PeerStore) registerHolderLocked(gen uint64, v, phys int, idx int16) {
 	c := ps.ctrlLocked(gen, true)
 	hs := c.holders[v]
 	for i := range hs {
 		if int(hs[i].phys) == phys {
-			if idx == shardFull {
-				hs[i].idx = shardFull
-			}
+			hs[i].idx = idx
 			return
 		}
 	}
@@ -442,8 +419,8 @@ func (rg *rankGen) find(v int) *image {
 }
 
 // stashImage copies payload into a pooled buffer and records it as
-// phys's image (idx == shardFull) or shard of (gen, v), registering the
-// holder and enforcing the memory budget.
+// phys's shard idx of (gen, v), registering the holder and enforcing
+// the memory budget.
 func (ps *PeerStore) stashImage(phys int, gen uint64, v int, idx int16, size uint32, payload []byte) {
 	if phys < 0 || phys >= ps.nPhys || v < 0 || v >= ps.nVirt {
 		return
@@ -464,21 +441,15 @@ func (ps *PeerStore) stashImage(phys int, gen uint64, v int, idx int16, size uin
 	rg := ps.rankGenLocked(phys, gen, true)
 	rs := &ps.ranks[phys]
 	if img := rg.find(v); img != nil {
-		// Re-stash (e.g. a fetched full image replacing the local
-		// shard): swap payloads and adjust the accounting.
+		// Re-stash: swap payloads and adjust the accounting.
 		delta := int64(len(buf)) - int64(len(img.data))
 		if img.pb != nil {
 			img.pb.Release()
 		}
-		if idx == shardFull || img.idx != shardFull {
-			img.idx, img.size, img.data, img.pb = idx, size, buf, pb
-			rg.bytes += delta
-			rs.resident += delta
-			ps.resident += delta
-		} else if pb != nil {
-			// Never downgrade a full image to a shard.
-			pb.Release()
-		}
+		img.idx, img.size, img.data, img.pb = idx, size, buf, pb
+		rg.bytes += delta
+		rs.resident += delta
+		ps.resident += delta
 	} else {
 		rg.imgs = append(rg.imgs, image{v: int32(v), idx: idx, size: size, data: buf, pb: pb})
 		rg.bytes += int64(len(buf))
@@ -509,36 +480,17 @@ func (ps *PeerStore) evictOverBudgetLocked(phys int, keep uint64) {
 	}
 }
 
-// stash records a full image into a physical rank's slice of the store
-// (the replicate-receive path and a test seam).
+// stash records state's shard 0 — a plain prefix of the snapshot, the
+// whole snapshot when DataShards is 1 — as phys's shard of (gen, v):
+// what every replica of v keeps locally on write, and what a revived
+// rank keeps after fetching its image.
 func (ps *PeerStore) stash(phys int, gen uint64, v int, state []byte) {
-	ps.stashImage(phys, gen, v, shardFull, uint32(len(state)), state)
+	sl := erasure.ShardLen(ps.cfg.DataShards, len(state))
+	ps.stashImage(phys, gen, v, 0, uint32(len(state)), state[:sl])
 }
 
-// lookup returns a copy of the full image phys holds for (gen, v), if
-// any. Shards don't count: a single shard cannot restore a rank.
-func (ps *PeerStore) lookup(phys int, gen uint64, v int) ([]byte, bool) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if phys < 0 || phys >= ps.nPhys {
-		return nil, false
-	}
-	rg := ps.rankGenLocked(phys, gen, false)
-	if rg == nil {
-		return nil, false
-	}
-	img := rg.find(v)
-	if img == nil || img.idx != shardFull {
-		return nil, false
-	}
-	out := make([]byte, len(img.data))
-	copy(out, img.data)
-	return out, true
-}
-
-// lookupAny returns a copy of whatever phys holds for (gen, v) — a full
-// image or a shard — for the fetch-reply path.
-func (ps *PeerStore) lookupAny(phys int, gen uint64, v int) (data []byte, idx int16, size uint32, ok bool) {
+// lookup returns a copy of the shard phys holds for (gen, v), if any.
+func (ps *PeerStore) lookup(phys int, gen uint64, v int) (data []byte, idx int16, size uint32, ok bool) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	if phys < 0 || phys >= ps.nPhys {
@@ -582,9 +534,9 @@ func (ps *PeerStore) InvalidateRank(phys int) {
 
 // UsableGeneration returns the newest committed generation every
 // virtual rank of which is still recoverable from live holders — at
-// least one full image, or (erasure mode) at least DataShards distinct
-// shards. ok is false when no generation qualifies, which tells the
-// orchestrator to fall back to a full restart.
+// least DataShards distinct shards. ok is false when no generation
+// qualifies, which tells the orchestrator to fall back to a full
+// restart.
 func (ps *PeerStore) UsableGeneration() (gen uint64, n int, ok bool) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
@@ -612,7 +564,6 @@ func (ps *PeerStore) usableLocked() (uint64, int, bool) {
 func (ps *PeerStore) coveredLocked(c *genCtrl, n int, liveOnly, stashed bool) bool {
 	for v := 0; v < n; v++ {
 		var shardSet uint64
-		shardCount, full := 0, false
 		for _, h := range c.holders[v] {
 			phys := int(h.phys)
 			if liveOnly && !ps.alive(phys) {
@@ -630,19 +581,9 @@ func (ps *PeerStore) coveredLocked(c *genCtrl, n int, liveOnly, stashed bool) bo
 				}
 				idx = img.idx
 			}
-			if idx == shardFull {
-				full = true
-				break
-			}
-			if bit := uint64(1) << uint(idx); shardSet&bit == 0 {
-				shardSet |= bit
-				shardCount++
-			}
+			shardSet |= uint64(1) << uint(idx)
 		}
-		if full {
-			continue
-		}
-		if ps.codec == nil || shardCount < ps.cfg.DataShards {
+		if bits.OnesCount64(shardSet) < ps.cfg.DataShards {
 			return false
 		}
 	}
@@ -736,7 +677,7 @@ func (ps *PeerStore) Serve(comm mpi.Comm) {
 		case opFetch:
 			msg.Release()
 			reply := peerFrame{op: opMiss, gen: fr.gen, v: fr.v}
-			if data, idx, size, ok := ps.lookupAny(me, fr.gen, fr.v); ok {
+			if data, idx, size, ok := ps.lookup(me, fr.gen, fr.v); ok {
 				reply = peerFrame{op: opFound, gen: fr.gen, v: fr.v, idx: idx, size: size, payload: data}
 			}
 			if err := sendPeerFrame(comm, msg.Source, tagPeerReply, reply); err != nil {
@@ -774,9 +715,8 @@ var (
 func (pv *peerView) Settle() { pv.ps.Settle() }
 
 // isSphereWriter reports whether this view's physical rank is the lowest
-// live replica of sphere v — the one that pushes buddy copies/shards
-// and writes the stable tier (every replica stashes its own slice of
-// the image locally).
+// live replica of sphere v — the one that pushes buddy shards and writes
+// the stable tier (every replica stashes shard 0 locally).
 func (pv *peerView) isSphereWriter(v int) bool {
 	for _, p := range pv.ps.cfg.Spheres[v] {
 		if pv.ps.alive(p) {
@@ -786,113 +726,69 @@ func (pv *peerView) isSphereWriter(v int) bool {
 	return false
 }
 
-// Write implements Storage: stash locally, and — as the sphere's writer
-// replica — push copies (full-copy mode) or erasure shards to the
-// buddies and the full image to the stable tier at its cadence. Under
-// an async Pipeline this whole method runs on a background worker; the
-// pending counter plus Settle keep the drain/commit contract honest.
+// Write implements Storage: every replica stashes shard 0 locally; the
+// sphere's writer replica also pushes the other shards to the buddies
+// and the full image to the stable tier at its cadence. Under an async
+// Pipeline this whole method runs on a background worker; the pending
+// counter plus Settle keep the drain/commit contract honest.
 func (pv *peerView) Write(gen uint64, rank int, state []byte) error {
 	ps := pv.ps
-	if rank < 0 || rank >= len(ps.cfg.Spheres) {
-		return fmt.Errorf("checkpoint: peer write rank %d of %d", rank, len(ps.cfg.Spheres))
+	if rank < 0 || rank >= ps.nVirt {
+		return fmt.Errorf("checkpoint: peer write rank %d of %d", rank, ps.nVirt)
 	}
-	if ps.codec != nil {
-		if err := pv.writeErasure(gen, rank, state); err != nil {
-			return err
-		}
-	} else if err := pv.writeFullCopy(gen, rank, state); err != nil {
+	ps.stash(pv.comm.Rank(), gen, rank, state)
+	if !pv.isSphereWriter(rank) {
+		return nil
+	}
+	if err := pv.pushShards(gen, rank, state); err != nil {
 		return err
 	}
-	if pv.isSphereWriter(rank) && ps.cfg.Slow != nil && gen%uint64(ps.cfg.StableEvery) == 0 {
-		if err := ps.cfg.Slow.Write(gen, rank, state); err != nil {
-			return err
-		}
+	if ps.cfg.Slow != nil && gen%uint64(ps.cfg.StableEvery) == 0 {
+		return ps.cfg.Slow.Write(gen, rank, state)
 	}
 	return nil
 }
 
-// writeFullCopy is the classic ReStore layout: every replica stashes
-// the whole image, the writer pushes whole-image copies to Replicas
-// buddies — one pooled encode shared across the fan-out.
-func (pv *peerView) writeFullCopy(gen uint64, rank int, state []byte) error {
+// pushShards sends shard i of the snapshot, for 1 <= i < k+m, to the
+// writer replica of sphere (rank+i) mod n, so losing any ParityShards
+// spheres loses at most ParityShards distinct shards. Data shards are
+// plain slices of the snapshot and skip the codec; only a short (zero-
+// padded) trailing data shard is copied. At k = 1 every parity row is
+// [1], so every shard is the snapshot itself and nothing is encoded.
+func (pv *peerView) pushShards(gen uint64, rank int, state []byte) error {
 	ps := pv.ps
-	me := pv.comm.Rank()
-	ps.stash(me, gen, rank, state)
-	if !pv.isSphereWriter(rank) {
-		return nil
-	}
-	fr := peerFrame{op: opReplicate, gen: gen, v: rank, idx: shardFull, size: uint32(len(state)), payload: state}
-	ss, shared := pv.comm.(mpi.SharedSender)
-	var buf []byte
-	var pb *mpi.PooledBuf
-	if shared {
-		buf, pb = ss.AcquireBuffer(peerHeaderLen + len(state))
-		encodePeerInto(buf, fr)
-	} else {
-		buf = encodePeer(fr)
-	}
-	defer func() {
-		if pb != nil {
-			pb.Release()
-		}
-	}()
-	// Same walk as Buddies(rank), without materialising the slice — this
-	// runs once per rank per generation on the hot write path.
-	n := len(ps.cfg.Spheres)
-	k := ps.cfg.Replicas
-	if k > n-1 {
-		k = n - 1
-	}
-	for i := 1; i <= k; i++ {
-		buddy := ps.cfg.Spheres[(rank+i)%n][0]
-		if !ps.alive(buddy) {
-			continue
-		}
-		ps.pending.Add(1)
-		var err error
-		if shared {
-			err = ss.SendPooled(buddy, tagPeerService, buf, pb)
-		} else {
-			err = pv.comm.Send(buddy, tagPeerService, buf)
-		}
-		if err != nil {
-			ps.pending.Add(-1)
-			return fmt.Errorf("checkpoint: replicating gen %d rank %d to %d: %w", gen, rank, buddy, err)
-		}
-		ps.mu.Lock()
-		ps.registerHolderLocked(gen, rank, buddy, shardFull)
-		ps.mu.Unlock()
-		ps.met.replicas.Inc()
-		ps.met.bytes.Add(uint64(len(state)))
-	}
-	return nil
-}
-
-// writeErasure is the erasure-coded layout: every replica stashes shard
-// 0 (a plain slice of the image — the code is systematic), and the
-// writer encodes the remaining DataShards+ParityShards−1 shards into
-// one pooled scratch buffer and sends shard i to the writer replica of
-// sphere (rank+i) mod n. Losing any ParityShards spheres therefore
-// loses at most ParityShards distinct shards.
-func (pv *peerView) writeErasure(gen uint64, rank int, state []byte) error {
-	ps := pv.ps
-	me := pv.comm.Rank()
 	k, t := ps.cfg.DataShards, ps.totalShards
 	sl := erasure.ShardLen(k, len(state))
-	ps.stashImage(me, gen, rank, 0, uint32(len(state)), state[:sl])
-	if !pv.isSphereWriter(rank) {
-		return nil
-	}
-	buf, pb := snapPool.acquire(t * sl)
 	var arr [maxPeerShards][]byte
-	scratch := arr[:t]
-	for i := 0; i < t; i++ {
-		scratch[i] = buf[i*sl : i*sl : (i+1)*sl]
+	shards := arr[:t]
+	if k == 1 {
+		for i := range shards {
+			shards[i] = state
+		}
+	} else {
+		padded := 0
+		if sl > 0 {
+			padded = k - len(state)/sl
+		}
+		buf, pb := snapPool.acquire((padded + t - k) * sl)
+		if pb != nil {
+			defer pb.Release()
+		}
+		for i := range shards {
+			lo, hi := min(i*sl, len(state)), min((i+1)*sl, len(state))
+			if i < k && hi-lo == sl {
+				shards[i] = state[lo:hi]
+				continue
+			}
+			shards[i], buf = buf[:sl], buf[sl:]
+			if i < k {
+				clear(shards[i][copy(shards[i], state[lo:hi]):])
+			}
+		}
+		ps.codec.EncodeParity(shards)
 	}
-	shards := ps.codec.Encode(state, scratch)
-	n := len(ps.cfg.Spheres)
 	for i := 1; i < t; i++ {
-		dst := ps.cfg.Spheres[(rank+i)%n][0]
+		dst := ps.buddy(rank, i)
 		if !ps.alive(dst) {
 			continue // shard lost; parity absorbs up to ParityShards of these
 		}
@@ -900,9 +796,6 @@ func (pv *peerView) writeErasure(gen uint64, rank int, state []byte) error {
 		ps.pending.Add(1)
 		if err := sendPeerFrame(pv.comm, dst, tagPeerService, fr); err != nil {
 			ps.pending.Add(-1)
-			if pb != nil {
-				pb.Release()
-			}
 			return fmt.Errorf("checkpoint: replicating gen %d rank %d shard %d to %d: %w", gen, rank, i, dst, err)
 		}
 		ps.mu.Lock()
@@ -910,9 +803,6 @@ func (pv *peerView) writeErasure(gen uint64, rank int, state []byte) error {
 		ps.mu.Unlock()
 		ps.met.replicas.Inc()
 		ps.met.bytes.Add(uint64(sl))
-	}
-	if pb != nil {
-		pb.Release()
 	}
 	return nil
 }
@@ -1000,10 +890,10 @@ func (pv *peerView) Latest() (uint64, int, bool, error) {
 	return fastGen, fastN, fastOK, nil
 }
 
-// Read implements Storage: own full image first (survivors in full-copy
-// mode restore with zero traffic), then bounded-retry fetch over the
-// live holders — reconstructing from any DataShards surviving shards in
-// erasure mode — then, for generations stable storage also has, the
+// Read implements Storage: this rank's own shard first (a survivor whose
+// shards already cover DataShards — at k = 1, its own copy — restores
+// with zero traffic), then a bounded-retry fetch of the missing shards
+// from live holders, then, for generations stable storage also has, the
 // slow tier.
 func (pv *peerView) Read(gen uint64, rank int) ([]byte, error) {
 	ps := pv.ps
@@ -1017,16 +907,25 @@ func (pv *peerView) Read(gen uint64, rank int) ([]byte, error) {
 		}
 		return nil, fmt.Errorf("read gen %d: %w", gen, ErrNotCommitted)
 	}
-	if state, ok := ps.lookup(pv.comm.Rank(), gen, rank); ok {
-		ps.met.localHits.Inc()
-		return state, nil
+	me := pv.comm.Rank()
+	shards := make([][]byte, ps.totalShards)
+	var size uint32
+	have := 0
+	if data, idx, sz, ok := ps.lookup(me, gen, rank); ok {
+		shards[idx], size, have = data, sz, 1
 	}
-	state, err := pv.fetch(gen, rank)
+	if have >= ps.cfg.DataShards {
+		ps.met.localHits.Inc()
+		return ps.codec.Reconstruct(shards, int(size))
+	}
+	state, err := pv.fetch(gen, rank, shards, size, have)
 	if err == nil {
-		// Cache the full image: this rank is now a holder too, which
-		// both localises its future restores and thickens the holder
-		// set.
-		ps.stash(pv.comm.Rank(), gen, rank, state)
+		if have == 0 {
+			// A rank that held nothing (revived) keeps shard 0 again: it
+			// is a holder once more, and at k = 1 its next restore is
+			// local.
+			ps.stash(me, gen, rank, state)
+		}
 		return state, nil
 	}
 	if errors.Is(err, ErrPeerFetchExhausted) && ps.cfg.Slow != nil {
@@ -1037,40 +936,18 @@ func (pv *peerView) Read(gen uint64, rank int) ([]byte, error) {
 	return nil, err
 }
 
-// fetch asks live holders for the image, FetchRetries rounds over the
-// candidate set with exponentially backed-off pauses between rounds (a
-// replicate may still be in a buddy's mailbox when the fetch starts).
-// In erasure mode it accumulates distinct shards — seeded with this
-// rank's own, if any — and reconstructs as soon as DataShards are in
-// hand; a full image from any holder short-circuits either mode.
-func (pv *peerView) fetch(gen uint64, rank int) ([]byte, error) {
+// fetch asks live holders for the shards missing from shards (have of
+// them are already in hand, all of size bytes of snapshot), FetchRetries
+// rounds over the candidate set with exponentially backed-off pauses
+// between rounds (a replicate may still be in a buddy's mailbox when the
+// fetch starts), and reconstructs as soon as DataShards distinct shards
+// are in hand.
+func (pv *peerView) fetch(gen uint64, rank int, shards [][]byte, size uint32, have int) ([]byte, error) {
 	ps := pv.ps
 	me := pv.comm.Rank()
 	sp := ps.cfg.Flight.StartSpan("peer_fetch", me, rank, int(gen))
 	defer sp.End()
 
-	var shards [][]byte
-	var size uint32
-	have := 0
-	if ps.codec != nil {
-		shards = make([][]byte, ps.totalShards)
-		if data, idx, sz, ok := ps.lookupAny(me, gen, rank); ok && idx >= 0 && int(idx) < ps.totalShards {
-			shards[idx] = data
-			size = sz
-			have = 1
-		}
-	}
-	finish := func(c, round int) ([]byte, error) {
-		state, err := ps.codec.Reconstruct(shards, int(size))
-		if err != nil {
-			return nil, fmt.Errorf("gen %d rank %d: %w", gen, rank, err)
-		}
-		ps.met.remoteHits.Inc()
-		ps.cfg.Trace.Emit("peer_fetch", me, rank, int(gen), map[string]any{
-			"holder": c, "bytes": len(state), "round": round, "shards": have,
-		})
-		return state, nil
-	}
 	backoff := ps.cfg.FetchBackoff
 	for round := 0; round < ps.cfg.FetchRetries; round++ {
 		if round > 0 {
@@ -1102,33 +979,27 @@ func (pv *peerView) fetch(gen uint64, rank int) ([]byte, error) {
 				return nil, err
 			}
 			fr, derr := decodePeer(msg.Data)
-			if derr != nil || fr.gen != gen || fr.v != rank || fr.op != opFound {
+			if derr != nil || fr.gen != gen || fr.v != rank || fr.op != opFound ||
+				fr.idx < 0 || int(fr.idx) >= ps.totalShards || shards[fr.idx] != nil {
 				msg.Release()
 				continue
 			}
-			if fr.idx == shardFull {
-				state := make([]byte, len(fr.payload))
-				copy(state, fr.payload)
-				msg.Release()
-				ps.met.remoteHits.Inc()
-				ps.cfg.Trace.Emit("peer_fetch", me, rank, int(gen), map[string]any{
-					"holder": c, "bytes": len(state), "round": round,
-				})
-				return state, nil
-			}
-			if ps.codec != nil && fr.idx >= 0 && int(fr.idx) < ps.totalShards && shards[fr.idx] == nil {
-				shard := make([]byte, len(fr.payload))
-				copy(shard, fr.payload)
-				shards[fr.idx] = shard
-				size = fr.size
-				have++
-				msg.Release()
-				if have >= ps.cfg.DataShards {
-					return finish(c, round)
-				}
-				continue
-			}
+			shard := make([]byte, len(fr.payload))
+			copy(shard, fr.payload)
 			msg.Release()
+			shards[fr.idx], size = shard, fr.size
+			if have++; have < ps.cfg.DataShards {
+				continue
+			}
+			state, err := ps.codec.Reconstruct(shards, int(size))
+			if err != nil {
+				return nil, fmt.Errorf("gen %d rank %d: %w", gen, rank, err)
+			}
+			ps.met.remoteHits.Inc()
+			ps.cfg.Trace.Emit("peer_fetch", me, rank, int(gen), map[string]any{
+				"holder": c, "bytes": len(state), "round": round, "shards": have,
+			})
+			return state, nil
 		}
 	}
 	ps.met.exhausted.Inc()

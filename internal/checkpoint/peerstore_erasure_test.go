@@ -14,8 +14,8 @@ import (
 )
 
 // singleSpheres builds n degree-1 spheres: sphere v = {v}. With one
-// rank per sphere the resident-byte accounting is exact: full-copy mode
-// costs S·(replicas+1) per snapshot, erasure mode S·(k+m)/k.
+// rank per sphere the resident-byte accounting is exact: a k+m layout
+// costs S·(k+m)/k per snapshot, S·(1+m) for full copies (k=1).
 func singleSpheres(n int) [][]int {
 	out := make([][]int, n)
 	for v := range out {
@@ -54,12 +54,15 @@ func runPeerWorldN(t *testing.T, n int, ps *PeerStore, body func(w *simmpi.World
 func TestErasureConfigValidation(t *testing.T) {
 	base := func() PeerStoreConfig { return PeerStoreConfig{Spheres: singleSpheres(4)} }
 	for name, mutate := range map[string]func(*PeerStoreConfig){
-		"data shards of 1":         func(c *PeerStoreConfig) { c.DataShards = 1; c.ParityShards = 1 },
+		"no shards":                func(c *PeerStoreConfig) {},
 		"no parity":                func(c *PeerStoreConfig) { c.DataShards = 2 },
 		"parity without data":      func(c *PeerStoreConfig) { c.ParityShards = 1 },
-		"replicas plus shards":     func(c *PeerStoreConfig) { c.Replicas = 1; c.DataShards = 2; c.ParityShards = 1 },
 		"more shards than spheres": func(c *PeerStoreConfig) { c.DataShards = 3; c.ParityShards = 2 },
-		"negative budget":          func(c *PeerStoreConfig) { c.BudgetBytes = -1 },
+		"1+5 shards over 2 spheres": func(c *PeerStoreConfig) {
+			c.Spheres = singleSpheres(2)
+			c.DataShards, c.ParityShards = 1, 5
+		},
+		"negative budget": func(c *PeerStoreConfig) { c.DataShards, c.ParityShards, c.BudgetBytes = 2, 1, -1 },
 	} {
 		cfg := base()
 		mutate(&cfg)
@@ -67,8 +70,11 @@ func TestErasureConfigValidation(t *testing.T) {
 			t.Errorf("%s accepted", name)
 		}
 	}
-	if _, err := NewPeerStore(PeerStoreConfig{Spheres: singleSpheres(4), DataShards: 2, ParityShards: 2}); err != nil {
-		t.Fatalf("valid erasure config rejected: %v", err)
+	// k=1 is full-copy replication, not a rejected code.
+	for _, km := range [][2]int{{2, 2}, {1, 1}, {1, 3}} {
+		if _, err := NewPeerStore(PeerStoreConfig{Spheres: singleSpheres(4), DataShards: km[0], ParityShards: km[1]}); err != nil {
+			t.Errorf("valid %d+%d config rejected: %v", km[0], km[1], err)
+		}
 	}
 }
 
@@ -93,13 +99,13 @@ func TestErasureWritePlacement(t *testing.T) {
 		// Placement of v=0: shard 0 on rank 0, shard 1 on rank 1, shard 2
 		// (parity) on rank 2; rank 3 holds nothing of v=0.
 		for want, phys := range []int{0, 1, 2} {
-			data, idx, sz, ok := ps.lookupAny(phys, 1, 0)
+			data, idx, sz, ok := ps.lookup(phys, 1, 0)
 			if !ok || int(idx) != want || sz != size || len(data) != size/2 {
 				return fmt.Errorf("rank %d: shard=(%d,%d,%d bytes,ok=%v), want shard %d of %d bytes",
 					phys, idx, sz, len(data), ok, want, size/2)
 			}
 		}
-		if _, _, _, ok := ps.lookupAny(3, 1, 0); ok {
+		if _, _, _, ok := ps.lookup(3, 1, 0); ok {
 			return fmt.Errorf("rank 3 holds a shard of v=0 outside the layout")
 		}
 		c0, _ := w.Comm(0)
@@ -118,8 +124,8 @@ func TestErasureWritePlacement(t *testing.T) {
 }
 
 // TestResidentBytesScaling pins the headline economics side by side:
-// the same snapshots cost S·(replicas+1) resident bytes in full-copy
-// mode and S·(k+m)/k in erasure mode.
+// the same snapshots cost S·(1+m) resident bytes as full copies (k=1)
+// and S·(k+m)/k erasure-coded.
 func TestResidentBytesScaling(t *testing.T) {
 	const size, nv = 4096, 4
 	measure := func(cfg PeerStoreConfig) int64 {
@@ -150,10 +156,10 @@ func TestResidentBytesScaling(t *testing.T) {
 		})
 		return resident
 	}
-	fullCopy := measure(PeerStoreConfig{Replicas: 1})
+	fullCopy := measure(PeerStoreConfig{DataShards: 1, ParityShards: 1})
 	erasure := measure(PeerStoreConfig{DataShards: 2, ParityShards: 1})
 	if want := int64(nv * size * (1 + 1)); fullCopy != want {
-		t.Errorf("full-copy resident = %d, want %d (S·(replicas+1) per snapshot)", fullCopy, want)
+		t.Errorf("full-copy resident = %d, want %d (S·(1+m) per snapshot)", fullCopy, want)
 	}
 	if want := int64(nv * size * 3 / 2); erasure != want {
 		t.Errorf("erasure resident = %d, want %d (S·(k+m)/k per snapshot)", erasure, want)
@@ -221,84 +227,71 @@ func TestErasureReadPaths(t *testing.T) {
 }
 
 // TestErasureAnyMLossesRestore is the satellite property test: with
-// k=3 data + m=2 parity shards spread over five spheres, every possible
+// k data + m=2 parity shards spread over k+m spheres, every possible
 // pair of sphere losses still restores byte-identical snapshots, and
-// losing a third sphere does not.
+// losing a third sphere does not. k=1 is the full-copy layout: three
+// copies, any one of which restores.
 func TestErasureAnyMLossesRestore(t *testing.T) {
-	const k, m = 3, 2
 	state := make([]byte, 2000)
 	rand.New(rand.NewSource(77)).Read(state)
-	holders := []int{0, 1, 2, 3, 4} // shard i of v=0 lives on rank i
-	for a := 0; a < len(holders); a++ {
-		for b := a + 1; b < len(holders); b++ {
-			dead := deadSet{}
-			ps, err := NewPeerStore(PeerStoreConfig{
-				Spheres: singleSpheres(6), DataShards: k, ParityShards: m,
-				Live: dead, FetchRetries: 2, FetchBackoff: 50 * time.Microsecond,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			runPeerWorldN(t, 6, ps, func(w *simmpi.World) error {
-				for v := 0; v < 6; v++ {
-					c, _ := w.Comm(v)
-					if err := ps.View(c).Write(1, v, state); err != nil {
-						return err
-					}
-				}
-				ps.Settle()
-				c5, _ := w.Comm(5)
-				view := ps.View(c5)
-				if err := view.Commit(1, 6); err != nil {
+	// Every sphere writes, then rank 5 — which holds nothing of v=0 —
+	// restores v=0 with the given holders dead; shard i of v=0 lives on
+	// rank i.
+	restore := func(k, m int, holders ...int) (*PeerStore, []byte, error) {
+		dead := deadSet{}
+		ps, err := NewPeerStore(PeerStoreConfig{
+			Spheres: singleSpheres(6), DataShards: k, ParityShards: m,
+			Live: dead, FetchRetries: 2, FetchBackoff: 50 * time.Microsecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []byte
+		var readErr error
+		runPeerWorldN(t, 6, ps, func(w *simmpi.World) error {
+			for v := 0; v < 6; v++ {
+				c, _ := w.Comm(v)
+				if err := ps.View(c).Write(1, v, state); err != nil {
 					return err
 				}
-				// The checkpoint was taken healthy; now two holders die.
-				dead[holders[a]] = true
-				dead[holders[b]] = true
-				// Rank 5 holds nothing of v=0: a pure remote reconstruct
-				// from the 3 surviving shards.
-				got, err := view.Read(1, 0)
-				if err != nil {
-					return fmt.Errorf("dead={%d,%d}: %v", holders[a], holders[b], err)
-				}
-				if !bytes.Equal(got, state) {
-					return fmt.Errorf("dead={%d,%d}: reconstructed bytes differ", holders[a], holders[b])
-				}
-				return nil
-			})
-		}
-	}
-	// m+1 losses among v=0's holders: the fetch must exhaust, not
-	// fabricate data.
-	dead := deadSet{}
-	ps, err := NewPeerStore(PeerStoreConfig{
-		Spheres: singleSpheres(6), DataShards: k, ParityShards: m,
-		Live: dead, FetchRetries: 2, FetchBackoff: 50 * time.Microsecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runPeerWorldN(t, 6, ps, func(w *simmpi.World) error {
-		for v := 0; v < 6; v++ {
-			c, _ := w.Comm(v)
-			if err := ps.View(c).Write(1, v, state); err != nil {
+			}
+			ps.Settle()
+			c5, _ := w.Comm(5)
+			view := ps.View(c5)
+			if err := view.Commit(1, 6); err != nil {
 				return err
 			}
+			// The checkpoint was taken healthy; now the holders die.
+			for _, p := range holders {
+				dead[p] = true
+			}
+			got, readErr = view.Read(1, 0)
+			return nil
+		})
+		return ps, got, readErr
+	}
+	for _, k := range []int{3, 1} {
+		const m = 2
+		for a := 0; a < k+m; a++ {
+			for b := a + 1; b < k+m; b++ {
+				_, got, err := restore(k, m, a, b)
+				if err != nil {
+					t.Fatalf("k=%d dead={%d,%d}: %v", k, a, b, err)
+				}
+				if !bytes.Equal(got, state) {
+					t.Fatalf("k=%d dead={%d,%d}: reconstructed bytes differ", k, a, b)
+				}
+			}
 		}
-		ps.Settle()
-		c5, _ := w.Comm(5)
-		view := ps.View(c5)
-		if err := view.Commit(1, 6); err != nil {
-			return err
+		// m+1 losses among v=0's holders: the fetch must exhaust, not
+		// fabricate data.
+		ps, _, err := restore(k, m, 0, 1, 2)
+		if !errors.Is(err, ErrPeerFetchExhausted) {
+			t.Fatalf("k=%d: read with k-1 shards = %v, want ErrPeerFetchExhausted", k, err)
 		}
-		dead[0], dead[1], dead[2] = true, true, true
-		if _, err := view.Read(1, 0); !errors.Is(err, ErrPeerFetchExhausted) {
-			return fmt.Errorf("read with k-1 shards = %v, want ErrPeerFetchExhausted", err)
+		if _, _, ok := ps.UsableGeneration(); ok {
+			t.Errorf("k=%d: generation with fewer than k live shards reported usable", k)
 		}
-		return nil
-	})
-	if _, _, ok := ps.UsableGeneration(); ok {
-		t.Error("generation with fewer than k live shards reported usable")
 	}
 }
 
@@ -308,10 +301,11 @@ func TestErasureAnyMLossesRestore(t *testing.T) {
 func TestPeerBudgetEviction(t *testing.T) {
 	reg := obs.NewRegistry()
 	ps, err := NewPeerStore(PeerStoreConfig{
-		Spheres:     singleSpheres(2),
-		Replicas:    1,
-		BudgetBytes: 1500,
-		Obs:         reg,
+		Spheres:      singleSpheres(2),
+		DataShards:   1,
+		ParityShards: 1,
+		BudgetBytes:  1500,
+		Obs:          reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -320,17 +314,17 @@ func TestPeerBudgetEviction(t *testing.T) {
 	// Gen 1 fits; gen 2 pushes rank 0 to 2000 > 1500: gen 1 is evicted.
 	ps.stash(0, 1, 0, big)
 	ps.stash(0, 2, 0, big)
-	if _, ok := ps.lookup(0, 1, 0); ok {
+	if _, _, _, ok := ps.lookup(0, 1, 0); ok {
 		t.Error("over-budget stash kept the oldest generation")
 	}
-	if _, ok := ps.lookup(0, 2, 0); !ok {
+	if _, _, _, ok := ps.lookup(0, 2, 0); !ok {
 		t.Error("eviction removed the generation being written")
 	}
 	// A single over-budget generation survives: the one being written is
 	// never evicted.
 	huge := bytes.Repeat([]byte{2}, 3000)
 	ps.stash(0, 3, 0, huge)
-	if _, ok := ps.lookup(0, 3, 0); !ok {
+	if _, _, _, ok := ps.lookup(0, 3, 0); !ok {
 		t.Error("the generation being written was evicted")
 	}
 	snap := reg.Snapshot()
@@ -365,7 +359,7 @@ func TestPeerBudgetEviction(t *testing.T) {
 // never reached — the async commit-lags-one window) is promoted so a
 // partial restart restores it instead of its predecessor.
 func TestPromoteComplete(t *testing.T) {
-	ps, err := NewPeerStore(PeerStoreConfig{Spheres: singleSpheres(2), Replicas: 1})
+	ps, err := NewPeerStore(PeerStoreConfig{Spheres: singleSpheres(2), DataShards: 1, ParityShards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +411,7 @@ func TestPromoteComplete(t *testing.T) {
 // TestPromoteCompleteRefusesPartialGeneration: a generation missing a
 // rank's payload (its write never drained) must not be promoted.
 func TestPromoteCompleteRefusesPartialGeneration(t *testing.T) {
-	ps, err := NewPeerStore(PeerStoreConfig{Spheres: singleSpheres(2), Replicas: 1})
+	ps, err := NewPeerStore(PeerStoreConfig{Spheres: singleSpheres(2), DataShards: 1, ParityShards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +422,7 @@ func TestPromoteCompleteRefusesPartialGeneration(t *testing.T) {
 	// Registered but not resident (the frame died in a mailbox): the
 	// stashed=true coverage check must reject it too.
 	ps.mu.Lock()
-	ps.registerHolderLocked(1, 1, 1, shardFull)
+	ps.registerHolderLocked(1, 1, 1, 0)
 	ps.mu.Unlock()
 	if _, _, ok := ps.PromoteComplete(); ok {
 		t.Fatal("promoted a generation whose holder never stashed")

@@ -23,8 +23,11 @@ func newTestPeerStore(t *testing.T, cfg PeerStoreConfig) *PeerStore {
 	if cfg.Spheres == nil {
 		cfg.Spheres = testSpheres()
 	}
-	if cfg.Replicas == 0 {
-		cfg.Replicas = 1
+	if cfg.DataShards == 0 {
+		cfg.DataShards = 1
+	}
+	if cfg.ParityShards == 0 {
+		cfg.ParityShards = 1
 	}
 	ps, err := NewPeerStore(cfg)
 	if err != nil {
@@ -37,20 +40,21 @@ func TestPeerStoreValidation(t *testing.T) {
 	if _, err := NewPeerStore(PeerStoreConfig{}); err == nil {
 		t.Error("empty sphere map accepted")
 	}
-	if _, err := NewPeerStore(PeerStoreConfig{Spheres: [][]int{{0}}, Replicas: -1}); err == nil {
-		t.Error("negative replicas accepted")
+	if _, err := NewPeerStore(PeerStoreConfig{Spheres: [][]int{{0}, {1}}, DataShards: -1, ParityShards: 1}); err == nil {
+		t.Error("negative data shards accepted")
 	}
-	if _, err := NewPeerStore(PeerStoreConfig{Spheres: [][]int{{0}, {0}}}); err == nil {
+	if _, err := NewPeerStore(PeerStoreConfig{Spheres: [][]int{{0}, {0}}, DataShards: 1, ParityShards: 1}); err == nil {
 		t.Error("overlapping spheres accepted")
 	}
-	if _, err := NewPeerStore(PeerStoreConfig{Spheres: [][]int{{0}, {}}}); err == nil {
+	if _, err := NewPeerStore(PeerStoreConfig{Spheres: [][]int{{0}, {}}, DataShards: 1, ParityShards: 1}); err == nil {
 		t.Error("empty sphere accepted")
 	}
 }
 
 func TestBuddiesAreSphereDeterministic(t *testing.T) {
-	ps := newTestPeerStore(t, PeerStoreConfig{Replicas: 2})
-	// Buddies of v are the first replicas of the next k spheres, wrapping.
+	ps := newTestPeerStore(t, PeerStoreConfig{ParityShards: 2})
+	// Buddies of v are the first replicas of the next k+m-1 spheres,
+	// wrapping.
 	want := map[int][]int{
 		0: {2, 4},
 		1: {4, 6},
@@ -65,13 +69,20 @@ func TestBuddiesAreSphereDeterministic(t *testing.T) {
 	}
 }
 
+// TestBuddiesClampedToOtherSpheres pins that a shard never lands in its
+// writer's own sphere: with one other sphere, that sphere's writer is
+// the only buddy, and asking for more buddies than there are other
+// spheres is rejected rather than wrapped round into the own sphere.
 func TestBuddiesClampedToOtherSpheres(t *testing.T) {
-	ps := newTestPeerStore(t, PeerStoreConfig{
-		Spheres:  [][]int{{0}, {1}},
-		Replicas: 5, // more than the single other sphere
-	})
+	ps := newTestPeerStore(t, PeerStoreConfig{Spheres: [][]int{{0}, {1}}})
 	if got := ps.Buddies(0); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("Buddies(0) = %v, want [1]", got)
+	}
+	if got := ps.Buddies(1); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("Buddies(1) = %v, want [0]", got)
+	}
+	if _, err := NewPeerStore(PeerStoreConfig{Spheres: [][]int{{0}, {1}}, DataShards: 1, ParityShards: 5}); err == nil {
+		t.Fatal("1+5 shards over 2 spheres accepted")
 	}
 }
 
@@ -190,11 +201,11 @@ func TestPeerGCKeepsDoubleBuffer(t *testing.T) {
 	}
 	_ = c1
 	// Gen 1 is older than the double buffer {2, 3}: gone everywhere.
-	if _, ok := ps.lookup(0, 1, 0); ok {
+	if _, _, _, ok := ps.lookup(0, 1, 0); ok {
 		t.Error("gen 1 survived GC")
 	}
 	for gen := uint64(2); gen <= 3; gen++ {
-		if _, ok := ps.lookup(0, gen, 0); !ok {
+		if _, _, _, ok := ps.lookup(0, gen, 0); !ok {
 			t.Errorf("gen %d missing from double buffer", gen)
 		}
 	}
@@ -241,7 +252,7 @@ func TestInvalidateRankRemovesHolder(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps.InvalidateRank(1)
-	if _, ok := ps.lookup(1, 1, 0); ok {
+	if _, _, _, ok := ps.lookup(1, 1, 0); ok {
 		t.Error("invalidated rank still holds images")
 	}
 	// v1's only holder was rank 1: the generation is no longer usable.
@@ -403,11 +414,6 @@ func TestPeerCodecRoundTripAndTruncation(t *testing.T) {
 	if err != nil || got.op != opFound || got.gen != 42 || got.v != 3 ||
 		got.idx != 5 || got.size != 4096 || !bytes.Equal(got.payload, []byte("payload")) {
 		t.Fatalf("decode = %+v, %v", got, err)
-	}
-	full := peerFrame{op: opReplicate, gen: 1, v: 0, idx: shardFull, size: 7, payload: []byte("fullimg")}
-	rt, err := decodePeer(encodePeer(full))
-	if err != nil || rt.idx != shardFull {
-		t.Fatalf("shardFull did not round-trip: %+v, %v", rt, err)
 	}
 	if _, err := decodePeer(frame[:peerHeaderLen-1]); err == nil {
 		t.Fatal("truncated frame decoded")

@@ -192,9 +192,9 @@ func TestAsyncConfigValidation(t *testing.T) {
 	// peer replication rides the physical transport on reserved tags, so
 	// background sends never touch the bookmark counts.
 	if err := (Config{
-		Ranks: 2, Degree: 2, StepInterval: 5, PeerReplicas: 1, AsyncCheckpoint: true,
+		Ranks: 2, Degree: 2, StepInterval: 5, PeerDataShards: 1, PeerParityShards: 1, AsyncCheckpoint: true,
 	}).Validate(); err != nil {
-		t.Fatalf("AsyncCheckpoint+PeerReplicas rejected: %v", err)
+		t.Fatalf("AsyncCheckpoint+full-copy peer tier rejected: %v", err)
 	}
 	if err := (Config{
 		Ranks: 2, Degree: 2, StepInterval: 5, AsyncCheckpoint: true,

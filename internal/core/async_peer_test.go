@@ -16,7 +16,6 @@ import (
 // m=1 parity Reed-Solomon shards instead of full buddy copies.
 func erasureConfig(partial bool) Config {
 	cfg := peerConfig(partial)
-	cfg.PeerReplicas = 0
 	cfg.PeerDataShards = 2
 	cfg.PeerParityShards = 1
 	return cfg

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,12 +16,13 @@ import (
 	"repro/internal/simmpi"
 )
 
-// StepKill is a deterministic, step-triggered failure: when the
-// application first reports reaching Step (via the writer replica's
-// NoteStep hook), physical rank Rank is fail-stopped. Unlike time-based
-// schedules this pins the kill to an exact point in the computation, so
-// recomputed-work comparisons between recovery strategies are exact and
-// race-free. Each entry fires at most once per Run.
+// StepKill is a deterministic, step-triggered failure: once every
+// virtual rank that reports steps has reached Step (via the writer
+// replicas' NoteStep hook), physical rank Rank is fail-stopped. Unlike
+// time-based schedules this pins the kill to an exact point in the
+// computation, so recomputed-work comparisons between recovery
+// strategies are exact and race-free. Each entry fires at most once per
+// Run.
 type StepKill struct {
 	// Step is the 1-based application step that triggers the kill.
 	Step int
@@ -33,7 +35,12 @@ type StepKill struct {
 // the paper's rework term, made observable. It also owns the fire-once
 // state of the step-triggered kill schedule.
 type stepAccounting struct {
-	hwm        []atomic.Int64
+	hwm []atomic.Int64
+	// last[v] packs the epoch (high 32 bits) and step of v's latest
+	// report. An epoch is one run of the application from a restore
+	// point: a new attempt, or the release after an in-place recovery.
+	last       []atomic.Int64
+	epoch      atomic.Int64
 	observed   *obs.Gauge // runner_steps_observed
 	recomputed *obs.Gauge // runner_recomputed_steps
 	flight     *obs.Recorder
@@ -42,18 +49,39 @@ type stepAccounting struct {
 }
 
 func newStepAccounting(nVirtual int, kills []StepKill, reg *obs.Registry, flight *obs.Recorder) *stepAccounting {
-	return &stepAccounting{
+	a := &stepAccounting{
 		hwm:        make([]atomic.Int64, nVirtual),
+		last:       make([]atomic.Int64, nVirtual),
 		observed:   reg.Gauge("runner_steps_observed"),
 		recomputed: reg.Gauge("runner_recomputed_steps"),
 		flight:     flight,
 		kills:      kills,
 		fired:      make([]atomic.Bool, len(kills)),
 	}
+	a.epoch.Store(1)
+	return a
 }
 
-// note records one executed step of virtual rank v.
-func (a *stepAccounting) note(v, step int) {
+// newEpoch starts a new epoch; call it while no rank runs the
+// application, before the ranks restart from a restore point.
+func (a *stepAccounting) newEpoch() { a.epoch.Add(1) }
+
+// note records one executed step of virtual rank v in epoch.
+func (a *stepAccounting) note(v, step int, epoch int64) {
+	// Within an epoch a sphere's steps only rise. A lower or equal
+	// report comes from a twin that became the writer just as the old
+	// writer died, after the old writer had already reported the step:
+	// it is neither new work nor rework.
+	mark := epoch<<32 | int64(step)
+	for {
+		last := a.last[v].Load()
+		if last>>32 == epoch && last&math.MaxUint32 >= int64(step) {
+			return
+		}
+		if a.last[v].CompareAndSwap(last, mark) {
+			break
+		}
+	}
 	a.observed.Add(1)
 	for {
 		cur := a.hwm[v].Load()
@@ -70,16 +98,39 @@ func (a *stepAccounting) note(v, step int) {
 	}
 }
 
-// maybeFire triggers any step kill whose step has been reached.
+// maybeFire triggers any step kill whose step the whole job has reached:
+// every virtual rank that reports steps is at or past it. Firing on the
+// first rank to get there would leave how far the others got before the
+// failure — and so the rework its recovery costs — to the scheduler.
+// The caller's own step gates the scan, so it runs only near a kill.
 func (a *stepAccounting) maybeFire(step int, inj *failure.Injector) {
 	if inj == nil {
 		return
 	}
+	line := int64(-1)
 	for i := range a.kills {
-		if step >= a.kills[i].Step && a.fired[i].CompareAndSwap(false, true) {
+		if step < a.kills[i].Step || a.fired[i].Load() {
+			continue
+		}
+		if line < 0 {
+			line = a.line()
+		}
+		if line >= int64(a.kills[i].Step) && a.fired[i].CompareAndSwap(false, true) {
 			inj.InjectNow(a.kills[i].Rank)
 		}
 	}
+}
+
+// line is the lowest high-water mark among the virtual ranks that report
+// steps at all (a task farm's workers never do).
+func (a *stepAccounting) line() int64 {
+	line := int64(math.MaxInt64)
+	for i := range a.hwm {
+		if h := a.hwm[i].Load(); h > 0 && h < line {
+			line = h
+		}
+	}
+	return line
 }
 
 // epochResult is what one driver epoch (one application execution)
@@ -279,6 +330,7 @@ func (g *partialGate) runEpoch(p int) epochResult {
 		ccfg.SkipBookmark = g.cfg.SkipBookmark
 	}
 	ccfg.Pipeline = g.pipe
+	epoch := g.acct.epoch.Load()
 	client, err := checkpoint.NewClient(rc, ccfg)
 	if err != nil {
 		return epochResult{err: err}
@@ -302,7 +354,7 @@ func (g *partialGate) runEpoch(p int) epochResult {
 		},
 		ComputeDelay: g.cfg.ComputeDelay,
 		NoteStep: func(step int) {
-			acct.note(v, step)
+			acct.note(v, step, epoch)
 			acct.maybeFire(step, inj)
 		},
 	}
@@ -511,6 +563,8 @@ func (g *partialGate) tryRecover(sphere int) bool {
 		g.fallbacks.Inc()
 		return false // caller aborts; parked drivers wake and exit
 	}
+
+	g.acct.newEpoch()
 
 	revSpan := rec.StartSpan("recovery_revive", -1, sphere, episode)
 	var revived []int

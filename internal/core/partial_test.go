@@ -20,17 +20,18 @@ func counterValue(t *testing.T, snap obs.Snapshot, name string) uint64 {
 
 // peerConfig is the shared fixture for the recovery tests: CG at dual
 // redundancy with frequent peer checkpoints (every 5 steps) and sparse
-// stable ones (every 4th generation, i.e. every 20 steps). Killing the
+// stable ones (every 4th generation: steps 5, 25, 45). Killing the
 // whole sphere of virtual rank 2 (physical ranks 4 and 5) at step 38
-// therefore costs ~3 recomputed steps per rank with partial restart
-// (rollback to the peer generation at step 35) versus ~18 with a full
-// restart (rollback to the stable generation at step 20).
+// therefore costs 3 recomputed steps per rank with partial restart
+// (rollback to the peer generation at step 35) versus 13 with a full
+// restart (rollback to the stable generation at step 25).
 func peerConfig(partial bool) Config {
 	return Config{
 		Ranks:               4,
 		Degree:              2,
 		StepInterval:        5,
-		PeerReplicas:        1,
+		PeerDataShards:      1,
+		PeerParityShards:    1,
 		StableEvery:         4,
 		PartialRestart:      partial,
 		PartialRestartLimit: 2,
@@ -73,8 +74,11 @@ func TestPartialRestartRecoversInPlace(t *testing.T) {
 	if res.TotalFailures != 2 {
 		t.Fatalf("TotalFailures = %d, want 2", res.TotalFailures)
 	}
-	if res.RecomputedSteps == 0 {
-		t.Fatal("RecomputedSteps = 0; the rollback to the peer generation recomputes work")
+	// The kill lands once every rank has finished step 38, so each of
+	// the 4 virtual ranks redoes exactly steps 36-38.
+	if res.RecomputedSteps != 4*(38-35) {
+		t.Fatalf("RecomputedSteps = %d, want %d: every rank rolls back from step 38 to 35",
+			res.RecomputedSteps, 4*(38-35))
 	}
 	if got := counterValue(t, res.Metrics, "partial_restarts_total"); got != 1 {
 		t.Errorf("partial_restarts_total = %d, want 1", got)
@@ -145,7 +149,7 @@ func TestPeerExhaustionFallsBackToFullRestart(t *testing.T) {
 	want := cleanChecksum(t, factory)
 
 	cfg := peerConfig(true)
-	// Rank 6 is sphere 3's writer replica — and, with Replicas = 1, the
+	// Rank 6 is sphere 3's writer replica — and, with a 1+1 layout, the
 	// only buddy holding sphere 2's image. Killing 4, 5, and 6 leaves no
 	// live holder for virtual rank 2.
 	cfg.StepKills = append(cfg.StepKills, StepKill{Step: 38, Rank: 6})
@@ -197,21 +201,19 @@ func TestPeerTierCleanRunIsTransparent(t *testing.T) {
 func TestPartialRestartConfigValidation(t *testing.T) {
 	factory := func() apps.App { return &apps.TaskFarm{Tasks: 1} }
 	bad := []Config{
-		{Ranks: 2, Degree: 1, PeerReplicas: -1},
 		{Ranks: 2, Degree: 1, StableEvery: -1},
-		{Ranks: 2, Degree: 1, StableEvery: 4},                                    // stable cadence without a peer tier
-		{Ranks: 2, Degree: 1, PartialRestart: true},                              // partial restart without a peer tier
-		{Ranks: 2, Degree: 1, PartialRestart: true, PeerReplicas: 1},             // ... without checkpointing
-		{Ranks: 2, Degree: 1, StepKills: []StepKill{{Step: 0, Rank: 0}}},         // step kills are 1-based
-		{Ranks: 2, Degree: 1, StepKills: []StepKill{{Step: 1, Rank: -1}}},        // negative rank
-		{Ranks: 2, Degree: 1, StepInterval: 5, PeerReplicas: 1, StableEvery: -2}, // negative cadence
-		{Ranks: 2, Degree: 1, PeerDataShards: -1},                                // negative shard counts
+		{Ranks: 2, Degree: 1, StableEvery: 4},                                                           // stable cadence without a peer tier
+		{Ranks: 2, Degree: 1, PartialRestart: true},                                                     // partial restart without a peer tier
+		{Ranks: 2, Degree: 1, PartialRestart: true, PeerDataShards: 1, PeerParityShards: 1},             // ... without checkpointing
+		{Ranks: 2, Degree: 1, StepKills: []StepKill{{Step: 0, Rank: 0}}},                                // step kills are 1-based
+		{Ranks: 2, Degree: 1, StepKills: []StepKill{{Step: 1, Rank: -1}}},                               // negative rank
+		{Ranks: 2, Degree: 1, StepInterval: 5, PeerDataShards: 1, PeerParityShards: 1, StableEvery: -2}, // negative cadence
+		{Ranks: 2, Degree: 1, PeerDataShards: -1},                                                       // negative shard counts
 		{Ranks: 2, Degree: 1, PeerParityShards: -1},
-		{Ranks: 2, Degree: 2, StepInterval: 5, PeerDataShards: 2},                    // data shards without parity
-		{Ranks: 2, Degree: 2, StepInterval: 5, PeerParityShards: 1},                  // parity without data shards
-		{Ranks: 2, Degree: 2, StepInterval: 5, PeerDataShards: 1, PeerParityShards: 1}, // k=1 is a full copy, not a code
-		{Ranks: 2, Degree: 2, StepInterval: 5, PeerReplicas: 1, PeerDataShards: 2, PeerParityShards: 1}, // both tiers at once
-		{Ranks: 2, Degree: 1, StepInterval: 5, PeerBudgetBytes: 1 << 20},         // budget without a peer tier
+		{Ranks: 2, Degree: 2, StepInterval: 5, PeerDataShards: 2},                                           // data shards without parity
+		{Ranks: 2, Degree: 2, StepInterval: 5, PeerParityShards: 1},                                         // parity without data shards
+		{Ranks: 2, Degree: 2, StepInterval: 5, PeerDataShards: 1, PeerParityShards: 2},                      // 1+2 shards over 2 spheres
+		{Ranks: 2, Degree: 1, StepInterval: 5, PeerBudgetBytes: 1 << 20},                                    // budget without a peer tier
 		{Ranks: 2, Degree: 2, StepInterval: 5, PeerDataShards: 2, PeerParityShards: 1, PeerBudgetBytes: -1}, // negative budget
 	}
 	for i, cfg := range bad {
@@ -219,13 +221,15 @@ func TestPartialRestartConfigValidation(t *testing.T) {
 			t.Errorf("bad config %d accepted: %+v", i, cfg)
 		}
 	}
-	// The erasure tier is a peer tier: PartialRestart and StableEvery
-	// gate on it exactly as they do on full copies.
-	good := Config{
-		Ranks: 4, Degree: 2, StepInterval: 5, StableEvery: 4, PartialRestart: true,
-		PeerDataShards: 2, PeerParityShards: 1, PeerBudgetBytes: 1 << 20,
-	}
-	if err := good.Validate(); err != nil {
-		t.Errorf("erasure peer tier config rejected: %v", err)
+	// Full copies are the k=1 layout, not a rejected code; PartialRestart
+	// and StableEvery gate on any k+m peer tier alike.
+	for _, good := range []Config{
+		{Ranks: 2, Degree: 2, StepInterval: 5, PeerDataShards: 1, PeerParityShards: 1},
+		{Ranks: 4, Degree: 2, StepInterval: 5, StableEvery: 4, PartialRestart: true,
+			PeerDataShards: 2, PeerParityShards: 1, PeerBudgetBytes: 1 << 20},
+	} {
+		if _, err := Run(good, factory); err != nil {
+			t.Errorf("peer tier config %d+%d rejected: %v", good.PeerDataShards, good.PeerParityShards, err)
+		}
 	}
 }

@@ -74,25 +74,17 @@ type Config struct {
 	// GOMAXPROCS. Only meaningful with AsyncCheckpoint.
 	AsyncWorkers int
 
-	// PeerReplicas, when positive, layers an in-memory peer-replicated
-	// checkpoint tier over Storage: each rank's snapshot is additionally
-	// held by PeerReplicas buddy ranks in other replica spheres, and
+	// PeerDataShards (k) and PeerParityShards (m), when positive, layer
+	// an in-memory peer checkpoint tier over Storage: each snapshot is
+	// split into k data + m Reed-Solomon parity shards spread across
+	// k+m replica spheres, so a snapshot of size S costs S·(k+m)/k
+	// resident bytes and any m sphere losses remain recoverable, and
 	// Storage becomes the slow tier written only every StableEvery-th
-	// generation. Zero keeps the original Storage-only behaviour.
-	// Mutually exclusive with PeerDataShards (pick full copies or
-	// erasure coding, not both).
-	PeerReplicas int
-	// PeerDataShards, when positive, enables the erasure-coded peer
-	// tier instead of full copies: each snapshot is Reed-Solomon
-	// encoded into PeerDataShards data + PeerParityShards parity
-	// shards spread across replica spheres, so a snapshot of size S
-	// costs ~S·(k+m)/k resident bytes instead of S·(replicas+1), and
-	// any PeerParityShards sphere losses remain recoverable. Requires
-	// PeerDataShards >= 2 and PeerParityShards >= 1, and
-	// PeerDataShards+PeerParityShards <= number of spheres.
-	PeerDataShards int
-	// PeerParityShards is the parity shard count for the erasure-coded
-	// peer tier; meaningful only with PeerDataShards.
+	// generation. k = 1 is full-copy replication: the own sphere plus m
+	// buddy spheres each hold the whole snapshot. Both zero keeps the
+	// Storage-only behaviour; otherwise both must be >= 1 and k+m may
+	// not exceed the number of spheres.
+	PeerDataShards   int
 	PeerParityShards int
 	// PeerBudgetBytes caps the peer tier's resident bytes per rank;
 	// when the cap is exceeded the store evicts whole oldest
@@ -107,8 +99,7 @@ type Config struct {
 	// but the peer tier still holds a usable generation, the dead ranks
 	// are revived in place and the job resumes from the peer generation
 	// instead of tearing the world down for a full coordinated restart.
-	// Requires a peer tier (PeerReplicas or PeerDataShards) and
-	// StepInterval > 0.
+	// Requires a peer tier and StepInterval > 0.
 	PartialRestart bool
 	// PartialRestartLimit bounds in-place recoveries per attempt before
 	// falling back to full restarts; zero means 3.
@@ -132,8 +123,8 @@ type Config struct {
 	// (golden metrics jobs, worked EXPERIMENTS examples).
 	ScheduleOnce bool
 	// StepKills injects failures pinned to application steps rather than
-	// wall-clock offsets; each entry fires at most once per Run, the
-	// first time any writer replica reports reaching the step. This is
+	// wall-clock offsets; each entry fires at most once per Run, when
+	// the slowest step-reporting virtual rank reaches the step. This is
 	// the deterministic chaos schedule the recovery tests rely on.
 	StepKills []StepKill
 	// Seed drives the failure draws (each attempt splits a fresh child
@@ -190,10 +181,9 @@ type Config struct {
 	Transport func(physical int, opts ...mpi.Option) (mpi.Transport, error)
 }
 
-// PeerTier reports whether any peer checkpoint tier is configured —
-// full copies (PeerReplicas) or erasure-coded (PeerDataShards).
+// PeerTier reports whether a peer checkpoint tier is configured.
 func (cfg Config) PeerTier() bool {
-	return cfg.PeerReplicas > 0 || cfg.PeerDataShards > 0
+	return cfg.PeerDataShards > 0 || cfg.PeerParityShards > 0
 }
 
 // Validate checks the configuration.
@@ -207,35 +197,24 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("core: StepInterval = %d", cfg.StepInterval)
 	case cfg.MaxRestarts < 0:
 		return fmt.Errorf("core: MaxRestarts = %d", cfg.MaxRestarts)
-	case cfg.PeerReplicas < 0:
-		return fmt.Errorf("core: PeerReplicas = %d", cfg.PeerReplicas)
 	case cfg.PeerDataShards < 0:
 		return fmt.Errorf("core: PeerDataShards = %d", cfg.PeerDataShards)
 	case cfg.PeerParityShards < 0:
 		return fmt.Errorf("core: PeerParityShards = %d", cfg.PeerParityShards)
 	case cfg.PeerBudgetBytes < 0:
 		return fmt.Errorf("core: PeerBudgetBytes = %d", cfg.PeerBudgetBytes)
-	case cfg.PeerReplicas > 0 && cfg.PeerDataShards > 0:
-		return fmt.Errorf("core: PeerReplicas and PeerDataShards are mutually exclusive " +
-			"(full-copy and erasure-coded peer tiers cannot be combined)")
-	case cfg.PeerDataShards == 1:
-		return fmt.Errorf("core: PeerDataShards = 1 (erasure coding needs >= 2 data shards; " +
-			"use PeerReplicas for full copies)")
-	case cfg.PeerDataShards > 0 && cfg.PeerParityShards == 0:
-		return fmt.Errorf("core: PeerDataShards = %d requires PeerParityShards > 0", cfg.PeerDataShards)
-	case cfg.PeerParityShards > 0 && cfg.PeerDataShards == 0:
-		return fmt.Errorf("core: PeerParityShards = %d requires PeerDataShards > 0", cfg.PeerParityShards)
+	case cfg.PeerTier() && (cfg.PeerDataShards == 0 || cfg.PeerParityShards == 0):
+		return fmt.Errorf("core: peer tier %d+%d needs PeerDataShards >= 1 and PeerParityShards >= 1",
+			cfg.PeerDataShards, cfg.PeerParityShards)
 	case cfg.PeerBudgetBytes > 0 && !cfg.PeerTier():
-		return fmt.Errorf("core: PeerBudgetBytes requires a peer tier " +
-			"(PeerReplicas or PeerDataShards)")
+		return fmt.Errorf("core: PeerBudgetBytes requires a peer tier (PeerDataShards+PeerParityShards)")
 	case cfg.StableEvery < 0:
 		return fmt.Errorf("core: StableEvery = %d", cfg.StableEvery)
 	case cfg.StableEvery > 1 && !cfg.PeerTier():
-		return fmt.Errorf("core: StableEvery = %d requires a peer tier "+
-			"(PeerReplicas or PeerDataShards)", cfg.StableEvery)
+		return fmt.Errorf("core: StableEvery = %d requires a peer tier (PeerDataShards+PeerParityShards)",
+			cfg.StableEvery)
 	case cfg.PartialRestart && !cfg.PeerTier():
-		return fmt.Errorf("core: PartialRestart requires a peer tier " +
-			"(PeerReplicas or PeerDataShards)")
+		return fmt.Errorf("core: PartialRestart requires a peer tier (PeerDataShards+PeerParityShards)")
 	case cfg.PartialRestart && cfg.StepInterval == 0:
 		return fmt.Errorf("core: PartialRestart requires StepInterval > 0")
 	case cfg.AsyncWorkers < 0:
@@ -425,6 +404,7 @@ func Run(cfg Config, factory func() apps.App) (Result, error) {
 		rm.attempts.Inc()
 		if attempt > 0 {
 			rm.restarts.Inc()
+			acct.newEpoch()
 		}
 		cfg.Tracer.Emit("attempt_start", -1, -1, attempt, nil)
 		attemptSpan := cfg.Recorder.StartSpan("attempt", -1, -1, attempt)
@@ -580,7 +560,6 @@ func runAttempt(cfg Config, rankMap *redundancy.RankMap, store checkpoint.Storag
 		}
 		peer, err = checkpoint.NewPeerStore(checkpoint.PeerStoreConfig{
 			Spheres:      spheres,
-			Replicas:     cfg.PeerReplicas,
 			DataShards:   cfg.PeerDataShards,
 			ParityShards: cfg.PeerParityShards,
 			BudgetBytes:  cfg.PeerBudgetBytes,

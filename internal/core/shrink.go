@@ -264,7 +264,7 @@ func runShrinkDriver(cfg Config, world mpi.Transport, rankMap *redundancy.RankMa
 		},
 		ComputeDelay: cfg.ComputeDelay,
 		NoteStep: func(step int) {
-			acct.note(v, step)
+			acct.note(v, step, acct.epoch.Load()) // shrinking never rolls back: one epoch
 			acct.maybeFire(step, inj)
 		},
 		ShrinkRecovery: true,

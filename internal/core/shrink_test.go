@@ -176,9 +176,9 @@ func TestShrinkValidate(t *testing.T) {
 		{Ranks: 4, Degree: 1, RecoveryPolicy: "rewind"},
 		{Ranks: 4, Degree: 1, RecoveryPolicy: RecoverShrink, StepInterval: 3},
 		{Ranks: 4, Degree: 1, RecoveryPolicy: RecoverShrink, MaxRestarts: 2},
-		{Ranks: 4, Degree: 1, RecoveryPolicy: RecoverShrink, PeerReplicas: 1},
+		{Ranks: 4, Degree: 1, RecoveryPolicy: RecoverShrink, PeerDataShards: 1, PeerParityShards: 1},
 		{Ranks: 4, Degree: 1, RecoveryPolicy: RecoverShrink,
-			PartialRestart: true, PeerReplicas: 1, StepInterval: 2},
+			PartialRestart: true, PeerDataShards: 1, PeerParityShards: 1, StepInterval: 2},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

@@ -76,6 +76,10 @@ func addMul(dst, src []byte, c byte) {
 
 // mulInto computes dst[i] = c*src[i].
 func mulInto(dst, src []byte, c byte) {
+	if c == 1 {
+		copy(dst, src)
+		return
+	}
 	mt := &mulTable[c]
 	_ = dst[len(src)-1]
 	for i, s := range src {
@@ -188,7 +192,18 @@ func (c *Codec) Encode(data []byte, scratch [][]byte) [][]byte {
 			shards[i][j] = 0
 		}
 	}
-	// Parity shards: row · data.
+	c.EncodeParity(shards)
+	return shards
+}
+
+// EncodeParity fills the m parity shards shards[k:] from the k data
+// shards shards[:k]. All k+m shards must have the same length; the data
+// shards may alias the caller's buffer, so a caller whose data shards
+// are plain slices of its input encodes without copying them.
+func (c *Codec) EncodeParity(shards [][]byte) {
+	if len(shards[0]) == 0 {
+		return
+	}
 	for r := 0; r < c.m; r++ {
 		row := c.rows[c.k+r]
 		out := shards[c.k+r]
@@ -197,7 +212,6 @@ func (c *Codec) Encode(data []byte, scratch [][]byte) [][]byte {
 			addMul(out, shards[j], row[j])
 		}
 	}
-	return shards
 }
 
 // ErrTooFewShards reports that fewer than k shards survived.

@@ -52,7 +52,7 @@ func TestRoundTripNoLoss(t *testing.T) {
 // reconstruct the original bytes exactly.
 func TestAllLossCombos(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for _, kc := range []struct{ k, m int }{{2, 1}, {2, 2}, {3, 2}, {4, 2}, {4, 3}, {5, 1}} {
+	for _, kc := range []struct{ k, m int }{{1, 1}, {1, 2}, {2, 1}, {2, 2}, {3, 2}, {4, 2}, {4, 3}, {5, 1}} {
 		c, err := New(kc.k, kc.m)
 		if err != nil {
 			t.Fatal(err)
@@ -113,6 +113,36 @@ func TestEncodeReusesScratch(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("scratch-encoded shards reconstructed wrong bytes")
+	}
+}
+
+// TestEncodeParityFromAliasedData checks the zero-copy encode path: data
+// shards that are plain slices of the input yield the same parity as
+// Encode, and at k=1 every parity shard is the input itself.
+func TestEncodeParityFromAliasedData(t *testing.T) {
+	data := make([]byte, 96)
+	rand.New(rand.NewSource(3)).Read(data)
+	for _, kc := range []struct{ k, m int }{{1, 2}, {3, 2}} {
+		c, _ := New(kc.k, kc.m)
+		want := c.Encode(data, nil)
+		sl := ShardLen(kc.k, len(data))
+		shards := make([][]byte, kc.k+kc.m)
+		for i := range shards {
+			if i < kc.k {
+				shards[i] = data[i*sl : (i+1)*sl]
+			} else {
+				shards[i] = make([]byte, sl)
+			}
+		}
+		c.EncodeParity(shards)
+		for i := kc.k; i < len(shards); i++ {
+			if !bytes.Equal(shards[i], want[i]) {
+				t.Fatalf("k=%d m=%d: parity shard %d differs from Encode", kc.k, kc.m, i)
+			}
+			if kc.k == 1 && !bytes.Equal(shards[i], data) {
+				t.Fatalf("k=1: parity shard %d is not a copy of the input", i)
+			}
+		}
 	}
 }
 

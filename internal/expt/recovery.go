@@ -76,7 +76,8 @@ func Recovery(p RecoveryParams) (*Table, error) {
 			Ranks:               p.Ranks,
 			Degree:              2,
 			StepInterval:        p.StepInterval,
-			PeerReplicas:        1,
+			PeerDataShards:      1,
+			PeerParityShards:    1,
 			StableEvery:         p.StableEvery,
 			PartialRestart:      strat.partial,
 			PartialRestartLimit: 2,

@@ -23,6 +23,16 @@ import (
 // Counter is a monotonically increasing atomic counter.
 type Counter struct {
 	v atomic.Uint64
+	// stripes, set only by Registry.StripedCounter, spread AddAt over
+	// cache lines of their own; len is a power of two.
+	stripes []counterStripe
+}
+
+// counterStripe fills a cache line, so writers on different stripes
+// never contend for one.
+type counterStripe struct {
+	v atomic.Uint64
+	_ [56]byte
 }
 
 // Inc adds one.
@@ -36,12 +46,30 @@ func (c *Counter) Add(n uint64) {
 	c.v.Add(n)
 }
 
+// AddAt adds n on behalf of writer i (a rank, say). On a striped
+// counter, writers whose indices differ modulo the stripe count update
+// different cache lines; on a plain counter it is Add.
+func (c *Counter) AddAt(i int, n uint64) {
+	if c == nil {
+		return
+	}
+	if len(c.stripes) == 0 {
+		c.v.Add(n)
+		return
+	}
+	c.stripes[i&(len(c.stripes)-1)].v.Add(n)
+}
+
 // Value returns the current total.
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	v := c.v.Load()
+	for i := range c.stripes {
+		v += c.stripes[i].v.Load()
+	}
+	return v
 }
 
 // Gauge is an atomic instantaneous value. SetMax turns it into a
@@ -168,6 +196,31 @@ func (r *Registry) Counter(name string) *Counter {
 	c := r.ctrs[name]
 	if c == nil {
 		c = &Counter{}
+		r.ctrs[name] = c
+	}
+	return c
+}
+
+// maxStripes caps a striped counter's footprint at 4 KiB.
+const maxStripes = 64
+
+// StripedCounter returns the named counter, creating it on first use
+// with enough stripes (up to maxStripes) that n concurrent writers
+// calling AddAt with distinct indices below n rarely share a cache line.
+// A counter that already exists is returned as it is.
+func (r *Registry) StripedCounter(name string, n int) *Counter {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c := r.ctrs[name]
+	if c == nil {
+		stripes := 1
+		for stripes < n && stripes < maxStripes {
+			stripes <<= 1
+		}
+		c = &Counter{stripes: make([]counterStripe, stripes)}
 		r.ctrs[name] = c
 	}
 	return c

@@ -84,6 +84,45 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	}
 }
 
+// TestStripedCounterSumsStripes checks that a striped counter reads and
+// snapshots as the sum of every AddAt and Add, whatever the writer
+// index, and that a later lookup by name returns the same counter.
+func TestStripedCounterSumsStripes(t *testing.T) {
+	r := NewRegistry()
+	c := r.StripedCounter("sends", 6)
+	if got := len(c.stripes); got != 8 {
+		t.Fatalf("%d stripes for 6 writers, want 8", got)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 20; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < 1000; j++ {
+				c.AddAt(i, 2)
+			}
+		}(i)
+	}
+	wg.Wait()
+	c.Add(5)
+	if got := c.Value(); got != 20*1000*2+5 {
+		t.Fatalf("Value = %d, want %d", got, 20*1000*2+5)
+	}
+	if r.Counter("sends") != c || r.StripedCounter("sends", 64) != c {
+		t.Fatal("lookup by name returned a different counter")
+	}
+	if got := r.Snapshot().Counter("sends"); got != c.Value() {
+		t.Fatalf("snapshot = %d, want %d", got, c.Value())
+	}
+	plain := r.Counter("plain")
+	plain.AddAt(3, 7)
+	if plain.Value() != 7 {
+		t.Fatalf("AddAt on a plain counter: %d, want 7", plain.Value())
+	}
+	var nilc *Counter
+	nilc.AddAt(0, 1)
+}
+
 // TestRegistryConcurrentHammer drives one registry from many goroutines
 // — concurrent counter/gauge/histogram updates, instrument creation, and
 // snapshotting — and verifies the totals. Run under -race this is the

@@ -124,8 +124,8 @@ func (c *Comm) sendPrologue(dst, tag int, n int) (ok bool, err error) {
 		return false, mpi.ErrInterrupted
 	}
 	c.sent.add(dst)
-	w.met.sends.Inc()
-	w.met.sendBytes.Add(uint64(n))
+	w.met.sends.AddAt(c.rank, 1)
+	w.met.sendBytes.AddAt(c.rank, uint64(n))
 	w.flight.Emit("send", c.rank, -1, tag, int64(dst))
 	if d := w.sendDelay; d > 0 {
 		// Emulated wire latency is charged to the sender whether or not
@@ -157,7 +157,7 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 	if data != nil {
 		if c.world.pool != nil {
 			buf, pb = c.world.pool.Acquire(len(data))
-			c.world.met.bytesPooled.Add(uint64(len(data)))
+			c.world.met.bytesPooled.AddAt(c.rank, uint64(len(data)))
 		} else {
 			buf = make([]byte, len(data))
 		}
@@ -176,7 +176,7 @@ func (c *Comm) AcquireBuffer(n int) ([]byte, *mpi.PooledBuf) {
 	if c.world.pool == nil || n == 0 {
 		return make([]byte, n), nil
 	}
-	c.world.met.bytesPooled.Add(uint64(n))
+	c.world.met.bytesPooled.AddAt(c.rank, uint64(n))
 	return c.world.pool.Acquire(n)
 }
 
@@ -200,7 +200,7 @@ func (c *Comm) SendPooled(dst, tag int, data []byte, pb *mpi.PooledBuf) error {
 		pb.Release()
 		return nil
 	}
-	c.world.met.copiesElided.Inc()
+	c.world.met.copiesElided.AddAt(c.rank, 1)
 	return nil
 }
 
@@ -223,7 +223,7 @@ func (c *Comm) Recv(src, tag int) (mpi.Message, error) {
 // noteRecv performs per-peer and world-level receive bookkeeping.
 func (c *Comm) noteRecv(src int) {
 	c.recv.add(src)
-	c.world.met.recvs.Inc()
+	c.world.met.recvs.AddAt(c.rank, 1)
 }
 
 // Probe blocks until a matching message is available without consuming it.

@@ -92,19 +92,19 @@ type worldMetrics struct {
 	copiesElided *obs.Counter // deep copies avoided by shared (COW) sends
 }
 
-func newWorldMetrics(reg *obs.Registry) worldMetrics {
+func newWorldMetrics(reg *obs.Registry, size int) worldMetrics {
 	return worldMetrics{
-		sends:        reg.Counter("simmpi_sends_total"),
-		recvs:        reg.Counter("simmpi_recvs_total"),
-		sendBytes:    reg.Counter("simmpi_send_bytes_total"),
+		sends:        reg.StripedCounter("simmpi_sends_total", size),
+		recvs:        reg.StripedCounter("simmpi_recvs_total", size),
+		sendBytes:    reg.StripedCounter("simmpi_send_bytes_total", size),
 		drops:        reg.Counter("simmpi_drops_total"),
 		kills:        reg.Counter("simmpi_kills_total"),
 		aborts:       reg.Counter("simmpi_aborts_total"),
 		interrupts:   reg.Counter("simmpi_interrupts_total"),
 		revives:      reg.Counter("simmpi_revives_total"),
 		mailboxHWM:   reg.Gauge("simmpi_mailbox_depth_hwm"),
-		bytesPooled:  reg.Counter("simmpi_bytes_pooled_total"),
-		copiesElided: reg.Counter("simmpi_copies_elided_total"),
+		bytesPooled:  reg.StripedCounter("simmpi_bytes_pooled_total", size),
+		copiesElided: reg.StripedCounter("simmpi_copies_elided_total", size),
 	}
 }
 
@@ -165,7 +165,7 @@ func NewWorld(n int, opts ...Option) (*World, error) {
 	} else {
 		w.reg = obs.NewRegistry()
 	}
-	w.met = newWorldMetrics(w.reg)
+	w.met = newWorldMetrics(w.reg, w.size)
 	w.flight = o.Flight
 	w.agreeGate = newFtGate(w)
 	w.shrinkGate = newFtGate(w)
