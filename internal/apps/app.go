@@ -61,14 +61,21 @@ func (ctx *Context) writer() bool {
 // maybeCheckpoint snapshots at the client's step schedule, if enabled.
 // It also reports step progress through NoteStep — once per virtual rank
 // per step, because only the writer replica reports.
-func (ctx *Context) maybeCheckpoint(step int, state []byte) (bool, error) {
+//
+// snapshot encodes the rank's state; it runs only on a step the schedule
+// makes a checkpoint (never when Ckpt is nil), so the applications pay
+// for the encode once per interval rather than once per step. The writer
+// query, by contrast, runs on every step of every replica whether or not
+// the step checkpoints: runtimes hook IsWriter to mark the checkpoint
+// line of each step.
+func (ctx *Context) maybeCheckpoint(step int, snapshot func() []byte) (bool, error) {
 	if ctx.NoteStep != nil && ctx.writer() {
 		ctx.NoteStep(step)
 	}
 	if ctx.Ckpt == nil {
 		return false, nil
 	}
-	return ctx.Ckpt.MaybeCheckpoint(step, state, ctx.writer())
+	return ctx.Ckpt.MaybeCheckpoint(step, snapshot, ctx.writer())
 }
 
 // restore loads this rank's state if a checkpoint exists.

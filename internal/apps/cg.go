@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -140,24 +141,15 @@ func (cg *CG) Run(ctx *Context) error {
 	}
 	full := make([]float64, 0, n)
 	ap := make([]float64, local)
+	var sendBuf []byte
+	snapshot := func() []byte { return snapshotCG(state) }
 	globalStep := state.repeat*cg.Iterations + state.iter
 	for ; state.repeat < repeats; state.repeat++ {
 		for ; state.iter < cg.Iterations; state.iter++ {
 			// Assemble the full search direction for the matvec.
-			full = full[:0]
-			parts, gerr := mpi.Allgather(c, encodeVec(state.p))
-			if gerr != nil {
+			sendBuf = appendEncodedVec(sendBuf[:0], state.p)
+			if gerr := allgatherVec(c, sendBuf, n, &full); gerr != nil {
 				return gerr
-			}
-			for _, part := range parts {
-				vec, derr := decodeVec(part)
-				if derr != nil {
-					return derr
-				}
-				full = append(full, vec...)
-			}
-			if len(full) != n {
-				return fmt.Errorf("cg: assembled %d of %d entries", len(full), n)
 			}
 			if merr := cg.Matrix.MulRows(lo, hi, full, ap); merr != nil {
 				return merr
@@ -187,7 +179,7 @@ func (cg *CG) Run(ctx *Context) error {
 			}
 
 			globalStep++
-			if _, cerr := ctx.maybeCheckpoint(globalStep, snapshotCG(state)); cerr != nil {
+			if _, cerr := ctx.maybeCheckpoint(globalStep, snapshot); cerr != nil {
 				return cerr
 			}
 		}
@@ -258,19 +250,55 @@ func kahanSum(xs []float64) float64 {
 }
 
 func encodeVec(xs []float64) []byte {
-	var w stateWriter
+	return appendEncodedVec(nil, xs)
+}
+
+// appendEncodedVec appends xs's length-prefixed encoding (the
+// stateWriter.float64s layout) to dst, so a per-step send can reuse one
+// buffer.
+func appendEncodedVec(dst []byte, xs []float64) []byte {
+	w := stateWriter{buf: dst}
 	w.float64s(xs)
 	return w.bytes()
 }
 
 func decodeVec(buf []byte) ([]float64, error) {
+	return appendDecodedVec(nil, buf)
+}
+
+// appendDecodedVec decodes an encodeVec payload straight onto dst,
+// without the intermediate slice decodeVec returns.
+func appendDecodedVec(dst []float64, buf []byte) ([]float64, error) {
 	r := stateReader{buf: buf}
-	xs, err := r.float64s()
+	n, err := r.int()
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	if err := r.done(); err != nil {
-		return nil, err
+	if n < 0 || len(r.buf) != 8*n {
+		return dst, fmt.Errorf("apps: vector declares %d floats in %d bytes", n, len(r.buf))
 	}
-	return xs, nil
+	for i := 0; i < n; i++ {
+		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(r.buf[8*i:])))
+	}
+	return dst, nil
+}
+
+// allgatherVec assembles the distributed vector whose local block is
+// encoded in data into *full (n entries, in rank order), decoding every
+// part straight out of the transport buffers before Allgather releases
+// them.
+func allgatherVec(c mpi.Comm, data []byte, n int, full *[]float64) error {
+	*full = (*full)[:0]
+	return mpi.Allgather(c, data, func(parts [][]byte) error {
+		for _, part := range parts {
+			var err error
+			if *full, err = appendDecodedVec(*full, part); err != nil {
+				return err
+			}
+		}
+		if len(*full) != n {
+			return fmt.Errorf("apps: assembled %d of %d entries", len(*full), n)
+		}
+		return nil
+	})
 }

@@ -100,6 +100,7 @@ func (e *Eigen) Run(ctx *Context) error {
 		state = restored
 	}
 
+	snapshot := func() []byte { return snapshotEigen(state) }
 	for ; state.outer < e.OuterIterations; state.outer++ {
 		// Solve A·z = x with CG (inner iterations, warm zero start).
 		z, err := e.cgSolve(ctx, lo, hi, state.x)
@@ -121,7 +122,7 @@ func (e *Eigen) Run(ctx *Context) error {
 			return err
 		}
 		ctx.compute()
-		if _, err := ctx.maybeCheckpoint(state.outer+1, snapshotEigen(state)); err != nil {
+		if _, err := ctx.maybeCheckpoint(state.outer+1, snapshot); err != nil {
 			return err
 		}
 	}
@@ -148,18 +149,11 @@ func (e *Eigen) cgSolve(ctx *Context, lo, hi int, b []float64) ([]float64, error
 	}
 	ap := make([]float64, local)
 	full := make([]float64, 0, n)
+	var sendBuf []byte
 	for iter := 0; iter < e.InnerIterations && rho > 1e-28; iter++ {
-		full = full[:0]
-		parts, err := mpi.Allgather(c, encodeVec(p))
-		if err != nil {
+		sendBuf = appendEncodedVec(sendBuf[:0], p)
+		if err := allgatherVec(c, sendBuf, n, &full); err != nil {
 			return nil, err
-		}
-		for _, part := range parts {
-			vec, derr := decodeVec(part)
-			if derr != nil {
-				return nil, derr
-			}
-			full = append(full, vec...)
 		}
 		if err := e.Matrix.MulRows(lo, hi, full, ap); err != nil {
 			return nil, err

@@ -109,39 +109,33 @@ func (st *Stencil) Run(ctx *Context) error {
 	up := c.Rank() - 1
 	down := c.Rank() + 1
 	next := make([]float64, len(state.grid))
+	var sendBuf []byte
+	snapshot := func() []byte { return snapshotStencil(state) }
 	for ; state.iter < st.Iterations; state.iter++ {
 		// Halo exchange: send my first owned row up, last owned row down.
+		// Sends copy at the transport boundary, so one encode buffer
+		// serves both; received halos decode straight into the ghost rows.
 		if up >= 0 {
-			if err := c.Send(up, tagHaloUp, encodeVec(state.grid[w:2*w])); err != nil {
+			sendBuf = appendEncodedVec(sendBuf[:0], state.grid[w:2*w])
+			if err := c.Send(up, tagHaloUp, sendBuf); err != nil {
 				return err
 			}
 		}
 		if down < c.Size() {
-			if err := c.Send(down, tagHaloDown, encodeVec(state.grid[rows*w:(rows+1)*w])); err != nil {
+			sendBuf = appendEncodedVec(sendBuf[:0], state.grid[rows*w:(rows+1)*w])
+			if err := c.Send(down, tagHaloDown, sendBuf); err != nil {
 				return err
 			}
 		}
 		if down < c.Size() {
-			msg, err := c.Recv(down, tagHaloUp)
-			if err != nil {
+			if err := recvHalo(c, down, tagHaloUp, state.grid[(rows+1)*w:]); err != nil {
 				return err
 			}
-			halo, derr := decodeVec(msg.Data)
-			if derr != nil {
-				return derr
-			}
-			copy(state.grid[(rows+1)*w:], halo)
 		}
 		if up >= 0 {
-			msg, err := c.Recv(up, tagHaloDown)
-			if err != nil {
+			if err := recvHalo(c, up, tagHaloDown, state.grid[:w]); err != nil {
 				return err
 			}
-			halo, derr := decodeVec(msg.Data)
-			if derr != nil {
-				return derr
-			}
-			copy(state.grid[:w], halo)
 		}
 
 		// Relax interior points; global boundary rows/columns stay fixed.
@@ -162,7 +156,7 @@ func (st *Stencil) Run(ctx *Context) error {
 		copy(state.grid[w:(rows+1)*w], next[w:(rows+1)*w])
 		ctx.compute()
 
-		if _, err := ctx.maybeCheckpoint(state.iter+1, snapshotStencil(state)); err != nil {
+		if _, err := ctx.maybeCheckpoint(state.iter+1, snapshot); err != nil {
 			return err
 		}
 	}
@@ -181,6 +175,24 @@ func (st *Stencil) Run(ctx *Context) error {
 	st.Heat = out[0]
 	if math.IsNaN(st.Heat) {
 		return fmt.Errorf("stencil: heat diverged to NaN")
+	}
+	return nil
+}
+
+// recvHalo receives one halo row from src and decodes it into row (which
+// must match the row length exactly), releasing the transport buffer.
+func recvHalo(c mpi.Comm, src, tag int, row []float64) error {
+	msg, err := c.Recv(src, tag)
+	if err != nil {
+		return err
+	}
+	defer msg.Release()
+	halo, err := appendDecodedVec(row[:0:len(row)], msg.Data)
+	if err != nil {
+		return err
+	}
+	if len(halo) != len(row) {
+		return fmt.Errorf("stencil: halo of %d cells, want %d", len(halo), len(row))
 	}
 	return nil
 }

@@ -159,12 +159,17 @@ func (cl *Client) Restores() int { return cl.restores }
 // arithmetic, so no coordination round is needed. writer selects whether
 // this caller persists its rank's state — under redundancy, the lowest
 // alive replica of each rank should write; plain ranks always write.
-func (cl *Client) MaybeCheckpoint(step int, state []byte, writer bool) (bool, error) {
+//
+// snapshot is called once, and only on a due step: encoding application
+// state is real work, and nine steps in ten (every step, with
+// checkpointing disabled) would throw the bytes away. The slice it
+// returns is handed to Checkpoint, which never retains it past return.
+func (cl *Client) MaybeCheckpoint(step int, snapshot func() []byte, writer bool) (bool, error) {
 	k := cl.cfg.StepInterval
 	if k <= 0 || step <= 0 || step%k != 0 {
 		return false, nil
 	}
-	if err := cl.Checkpoint(state, writer); err != nil {
+	if err := cl.Checkpoint(snapshot(), writer); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -305,22 +310,23 @@ func (cl *Client) bookmarkExchange(lead bool) error {
 		// them in a single allgather: the exchange's own traffic must not
 		// appear in one counter but not the other.
 		local := append(tracker.SentCounts(), tracker.RecvCounts()...)
-		rows, err := mpi.Allgather(cl.comm, encodeUint64s(local))
+		var quiescent bool
+		err := mpi.Allgather(cl.comm, encodeUint64s(local), func(rows [][]byte) error {
+			sentRows := make([][]byte, len(rows))
+			recvRows := make([][]byte, len(rows))
+			for i, row := range rows {
+				if len(row) != 16*n {
+					return fmt.Errorf("checkpoint: bookmark row of %d bytes, want %d", len(row), 16*n)
+				}
+				sentRows[i] = row[:8*n]
+				recvRows[i] = row[8*n:]
+			}
+			var err error
+			quiescent, err = totalsEqualize(sentRows, recvRows)
+			return err
+		})
 		if err != nil {
 			return fmt.Errorf("bookmark exchange: %w", err)
-		}
-		sentRows := make([][]byte, len(rows))
-		recvRows := make([][]byte, len(rows))
-		for i, row := range rows {
-			if len(row) != 16*n {
-				return fmt.Errorf("checkpoint: bookmark row of %d bytes, want %d", len(row), 16*n)
-			}
-			sentRows[i] = row[:8*n]
-			recvRows[i] = row[8*n:]
-		}
-		quiescent, err := totalsEqualize(sentRows, recvRows)
-		if err != nil {
-			return err
 		}
 		if quiescent {
 			return nil

@@ -145,9 +145,16 @@ func TestMaybeCheckpointStepSchedule(t *testing.T) {
 			return err
 		}
 		for step := 0; step <= 10; step++ {
-			did, err := cl.MaybeCheckpoint(step, []byte{byte(step)}, true)
+			snapped := false
+			did, err := cl.MaybeCheckpoint(step, func() []byte {
+				snapped = true
+				return []byte{byte(step)}
+			}, true)
 			if err != nil {
 				return err
+			}
+			if snapped != did {
+				return fmt.Errorf("step %d: snapshot called %v, checkpointed %v", step, snapped, did)
 			}
 			if did {
 				mu.Lock()
@@ -175,7 +182,9 @@ func TestMaybeCheckpointDisabled(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		did, err := cl.MaybeCheckpoint(100, nil, true)
+		did, err := cl.MaybeCheckpoint(100, func() []byte {
+			panic("snapshot taken with checkpointing disabled")
+		}, true)
 		if err != nil {
 			return err
 		}
@@ -392,12 +401,12 @@ func (n noTracker) Recv(src, tag int) (mpi.Message, error) { return n.c.Recv(src
 func (n noTracker) Isend(dst, tag int, data []byte) (mpi.Request, error) {
 	return n.c.Isend(dst, tag, data)
 }
-func (n noTracker) Irecv(src, tag int) (mpi.Request, error)  { return n.c.Irecv(src, tag) }
-func (n noTracker) Probe(src, tag int) (mpi.Status, error)   { return n.c.Probe(src, tag) }
-func (n noTracker) SetErrhandler(fn func(mpi.FailureInfo))   { n.c.SetErrhandler(fn) }
-func (n noTracker) FailureAck() []int                        { return n.c.FailureAck() }
-func (n noTracker) Shrink() (mpi.Comm, error)                { return n.c.Shrink() }
-func (n noTracker) Agree(flag bool) (bool, error)            { return n.c.Agree(flag) }
+func (n noTracker) Irecv(src, tag int) (mpi.Request, error) { return n.c.Irecv(src, tag) }
+func (n noTracker) Probe(src, tag int) (mpi.Status, error)  { return n.c.Probe(src, tag) }
+func (n noTracker) SetErrhandler(fn func(mpi.FailureInfo))  { n.c.SetErrhandler(fn) }
+func (n noTracker) FailureAck() []int                       { return n.c.FailureAck() }
+func (n noTracker) Shrink() (mpi.Comm, error)               { return n.c.Shrink() }
+func (n noTracker) Agree(flag bool) (bool, error)           { return n.c.Agree(flag) }
 
 func TestNoTrackerReallyHidesCounts(t *testing.T) {
 	if _, ok := interface{}(noTracker{}).(mpi.CountTracker); ok {

@@ -31,12 +31,25 @@ const (
 	// barrier tokens all fit).
 	arenaMinClass = 64
 	// arenaMaxClass bounds pooled buffers; beyond it the arena falls
-	// back to plain allocation.
-	arenaMaxClass = 64 * 1024
-	arenaClasses  = 11 // 64 << 10 == 64 KiB
+	// back to plain allocation. 128 KiB holds CG's packed allgather
+	// payload (8 ranks × 9.2 KB ≈ 74 KB plus wire header), the largest
+	// per-step message of the benchmark apps; at 64 KiB every hop of it
+	// allocated afresh and the replica fan-out copied it per replica.
+	arenaMaxClass = 128 * 1024
+	arenaClasses  = 12 // 64 << 11 == 128 KiB
 )
 
 var _ Recycler = (*Arena)(nil)
+
+// SharedArena returns the process-wide arena. The in-process transport's
+// worlds and the collectives' root-side scratch all draw from it, so a
+// buffer freed by one world serves the next: a job's restart attempts and
+// a benchmark's back-to-back jobs each build a fresh world, and with an
+// arena per world every one of them filled a pool of its own before the
+// GC dropped the last one's.
+func SharedArena() *Arena { return sharedArena }
+
+var sharedArena = NewArena()
 
 // NewArena creates an empty arena. Poisoning of recycled buffers is
 // enabled automatically under the race detector.

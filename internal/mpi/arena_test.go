@@ -9,8 +9,13 @@ func TestArenaClassFor(t *testing.T) {
 		{arenaMinClass, 0},
 		{arenaMinClass + 1, 1},
 		{4096, 6},
+		{64 << 10, 10},
+		{64<<10 + 1, 11},
 		{arenaMaxClass, arenaClasses - 1},
 		{arenaMaxClass + 1, -1},
+	}
+	if arenaMaxClass != 128<<10 || arenaMinClass<<(arenaClasses-1) != arenaMaxClass {
+		t.Fatalf("top class = %d (%d classes), want 128 KiB", arenaMaxClass, arenaClasses)
 	}
 	for _, c := range cases {
 		if got := classFor(c.n); got != c.want {
@@ -27,6 +32,38 @@ func TestArenaOversizedFallback(t *testing.T) {
 	}
 	if pb != nil {
 		t.Fatal("oversized Acquire must have no pooled handle")
+	}
+	pb.Release() // a nil handle releases as a no-op
+}
+
+// TestArenaTopClassPools covers the 128 KiB top class: a payload between
+// 64 KiB and 128 KiB (CG's packed allgather) gets a pooled handle whose
+// buffer recycles, where the old 64 KiB cap fell back to plain
+// allocation.
+func TestArenaTopClassPools(t *testing.T) {
+	a := NewArena()
+	const n = 80 << 10
+	b, pb := a.Acquire(n)
+	if pb == nil {
+		t.Fatalf("Acquire(%d) has no pooled handle", n)
+	}
+	if len(b) != n || cap(b) != arenaMaxClass {
+		t.Fatalf("Acquire(%d) len/cap = %d/%d, want %d/%d", n, len(b), cap(b), n, arenaMaxClass)
+	}
+	pb.Release()
+	b, pb = a.Acquire(arenaMaxClass)
+	if pb == nil || len(b) != arenaMaxClass {
+		t.Fatalf("Acquire(arenaMaxClass) = len %d, handle %v", len(b), pb)
+	}
+	pb.Release()
+	if raceEnabled {
+		return // sync.Pool drops Puts at random under the race detector
+	}
+	if avg := testing.AllocsPerRun(50, func() {
+		_, pb := a.Acquire(n)
+		pb.Release()
+	}); avg > 0 {
+		t.Errorf("warm top-class Acquire/Release allocates %.2f per round, want 0", avg)
 	}
 }
 

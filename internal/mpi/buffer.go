@@ -50,7 +50,12 @@ func (p *PooledBuf) Retain() { p.refs.Add(1) }
 // Release drops one reference; the last release returns the buffer to
 // its arena. Using any slice view of the buffer after the final release
 // is a use-after-free (the arena may poison or rewrite the bytes).
+// Releasing a nil handle — what Arena.Acquire returns for an oversized
+// fallback allocation — is a no-op.
 func (p *PooledBuf) Release() {
+	if p == nil {
+		return
+	}
 	if p.refs.Add(-1) == 0 && p.pool != nil {
 		p.pool.Recycle(p)
 	}

@@ -43,26 +43,40 @@ func Barrier(c Comm) error {
 }
 
 // Bcast distributes root's data to every rank along a binomial tree and
-// returns the received copy (root returns data unchanged).
+// returns the received copy (root returns data unchanged). The copy a
+// non-root rank returns is its own; its transport buffer goes to the GC.
 func Bcast(c Comm, root int, data []byte) ([]byte, error) {
+	msg, err := bcast(c, root, data)
+	if err != nil {
+		return nil, err
+	}
+	if c.Rank() == root {
+		return data, nil
+	}
+	return msg.Data, nil
+}
+
+// bcast is Bcast returning the received message itself, so collectives
+// that decode the payload and drop it can Release the transport buffer
+// back to the arena. Root (and a one-rank world) receives nothing and
+// gets a zero Message; its payload is the data it passed in.
+func bcast(c Comm, root int, data []byte) (Message, error) {
 	size := c.Size()
 	rank := c.Rank()
 	if root < 0 || root >= size {
-		return nil, fmt.Errorf("bcast root %d: %w", root, ErrInvalidRank)
+		return Message{}, fmt.Errorf("bcast root %d: %w", root, ErrInvalidRank)
 	}
-	if size == 1 {
-		return data, nil
-	}
+	var msg Message
 	relative := (rank - root + size) % size
 	mask := 1
 	for mask < size {
 		if relative&mask != 0 {
 			src := (relative - mask + root) % size
-			msg, err := c.Recv(src, tagBcast)
+			m, err := c.Recv(src, tagBcast)
 			if err != nil {
-				return nil, fmt.Errorf("bcast recv: %w", err)
+				return Message{}, fmt.Errorf("bcast recv: %w", err)
 			}
-			data = msg.Data
+			msg, data = m, m.Data
 			break
 		}
 		mask <<= 1
@@ -72,12 +86,13 @@ func Bcast(c Comm, root int, data []byte) ([]byte, error) {
 		if relative+mask < size {
 			dst := (relative + mask + root) % size
 			if err := c.Send(dst, tagBcast, data); err != nil {
-				return nil, fmt.Errorf("bcast send: %w", err)
+				msg.Release()
+				return Message{}, fmt.Errorf("bcast send: %w", err)
 			}
 		}
 		mask >>= 1
 	}
-	return data, nil
+	return msg, nil
 }
 
 // Gather collects each rank's data at root. Root receives a slice indexed
@@ -109,22 +124,69 @@ func Gather(c Comm, root int, data []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// Allgather collects every rank's data at every rank, as a gather to rank
-// 0 followed by a broadcast.
-func Allgather(c Comm, data []byte) ([][]byte, error) {
-	parts, err := Gather(c, 0, data)
-	if err != nil {
-		return nil, err
-	}
+// Allgather collects every rank's data at every rank, as a gather to
+// rank 0 followed by a broadcast of the packed parts, and hands the parts
+// (indexed by rank) to fn; fn's error is returned.
+//
+// The parts alias transport buffers that are released the moment fn
+// returns: fn decodes what it needs and must not retain any part. In
+// exchange the collective is zero-copy past the transport boundary —
+// the gather and bcast buffers go back to the arena instead of the GC,
+// and the packed payload root builds comes from the arena too.
+func Allgather(c Comm, data []byte, fn func(parts [][]byte) error) error {
+	size := c.Size()
 	var packed []byte
 	if c.Rank() == 0 {
-		packed = packParts(parts)
+		var pb *PooledBuf
+		var err error
+		if packed, pb, err = gatherPacked(c, data); err != nil {
+			return err
+		}
+		defer pb.Release()
+	} else if err := c.Send(0, tagGather, data); err != nil {
+		return fmt.Errorf("gather send: %w", err)
 	}
-	packed, err = Bcast(c, 0, packed)
+	msg, err := bcast(c, 0, packed)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return unpackParts(packed, c.Size())
+	defer msg.Release()
+	if c.Rank() != 0 {
+		packed = msg.Data
+	}
+	parts, err := unpackParts(packed, size)
+	if err != nil {
+		return err
+	}
+	return fn(parts)
+}
+
+// gatherPacked is Allgather's root half of the gather: it receives every
+// rank's part and packs them (its own data at index 0) into one buffer
+// from the shared arena (transports copy at Send, so the buffer is free
+// again once Allgather's callback returns), releasing each received
+// message as soon as its bytes are packed. The caller releases pb (nil for a payload
+// beyond the arena's largest class).
+func gatherPacked(c Comm, data []byte) ([]byte, *PooledBuf, error) {
+	size := c.Size()
+	msgs := make([]Message, size)
+	defer func() {
+		for i := range msgs {
+			msgs[i].Release()
+		}
+	}()
+	parts := make([][]byte, size)
+	parts[0] = data
+	for i := 1; i < size; i++ {
+		msg, err := c.Recv(i, tagGather)
+		if err != nil {
+			return nil, nil, fmt.Errorf("gather recv from %d: %w", i, err)
+		}
+		msgs[i], parts[i] = msg, msg.Data
+	}
+	buf, pb := sharedArena.Acquire(packedLen(parts))
+	packPartsInto(buf, parts)
+	return buf, pb, nil
 }
 
 // Scatter distributes parts[i] from root to rank i and returns this
@@ -236,7 +298,8 @@ func (op ReduceOp) applyInt64(a, b int64) int64 {
 // The accumulator stays numeric end to end: each received payload is
 // combined elementwise straight out of the wire buffer (released back to
 // the arena afterwards), and the single encode happens only when this
-// rank forwards its accumulation upward.
+// rank forwards its accumulation upward, into an arena scratch buffer
+// that goes back to the arena once the (copying) send returns.
 func ReduceFloat64s(c Comm, root int, in []float64, op ReduceOp) ([]float64, error) {
 	size := c.Size()
 	rank := c.Rank()
@@ -248,7 +311,11 @@ func ReduceFloat64s(c Comm, root int, in []float64, op ReduceOp) ([]float64, err
 	for mask := 1; mask < size; mask <<= 1 {
 		if relative&mask != 0 {
 			dst := (relative - mask + root) % size
-			if err := c.Send(dst, tagReduce, encodeFloat64s(acc)); err != nil {
+			scratch, pb := sharedArena.Acquire(8 * len(acc))
+			encodeFloat64sInto(scratch, acc)
+			err := c.Send(dst, tagReduce, scratch)
+			pb.Release()
+			if err != nil {
 				return nil, fmt.Errorf("reduce send: %w", err)
 			}
 			return nil, nil
@@ -360,21 +427,30 @@ func AllreduceRDFloat64s(c Comm, in []float64, op ReduceOp) ([]float64, error) {
 }
 
 // AllreduceFloat64s reduces elementwise and distributes the result to all
-// ranks (reduce to rank 0, then broadcast).
+// ranks (reduce to rank 0, then broadcast). Rank 0 returns its reduced
+// vector; the others decode theirs out of the bcast message and release
+// it back to the arena.
 func AllreduceFloat64s(c Comm, in []float64, op ReduceOp) ([]float64, error) {
 	reduced, err := ReduceFloat64s(c, 0, in, op)
 	if err != nil {
 		return nil, err
 	}
-	var packed []byte
+	var scratch []byte
+	var pb *PooledBuf
 	if c.Rank() == 0 {
-		packed = encodeFloat64s(reduced)
+		scratch, pb = sharedArena.Acquire(8 * len(reduced))
+		encodeFloat64sInto(scratch, reduced)
 	}
-	packed, err = Bcast(c, 0, packed)
+	msg, err := bcast(c, 0, scratch)
+	pb.Release()
 	if err != nil {
 		return nil, err
 	}
-	return decodeFloat64s(packed)
+	if c.Rank() == 0 {
+		return reduced, nil
+	}
+	defer msg.Release()
+	return decodeFloat64s(msg.Data)
 }
 
 // ReduceInt64s reduces equal-length int64 vectors elementwise onto root,
@@ -390,7 +466,11 @@ func ReduceInt64s(c Comm, root int, in []int64, op ReduceOp) ([]int64, error) {
 	for mask := 1; mask < size; mask <<= 1 {
 		if relative&mask != 0 {
 			dst := (relative - mask + root) % size
-			if err := c.Send(dst, tagReduce, encodeInt64s(acc)); err != nil {
+			scratch, pb := sharedArena.Acquire(8 * len(acc))
+			encodeInt64sInto(scratch, acc)
+			err := c.Send(dst, tagReduce, scratch)
+			pb.Release()
+			if err != nil {
 				return nil, fmt.Errorf("reduce send: %w", err)
 			}
 			return nil, nil
@@ -411,21 +491,29 @@ func ReduceInt64s(c Comm, root int, in []int64, op ReduceOp) ([]int64, error) {
 	return acc, nil
 }
 
-// AllreduceInt64s reduces elementwise and distributes the result to all.
+// AllreduceInt64s reduces elementwise and distributes the result to all,
+// releasing the bcast message like AllreduceFloat64s.
 func AllreduceInt64s(c Comm, in []int64, op ReduceOp) ([]int64, error) {
 	reduced, err := ReduceInt64s(c, 0, in, op)
 	if err != nil {
 		return nil, err
 	}
-	var packed []byte
+	var scratch []byte
+	var pb *PooledBuf
 	if c.Rank() == 0 {
-		packed = encodeInt64s(reduced)
+		scratch, pb = sharedArena.Acquire(8 * len(reduced))
+		encodeInt64sInto(scratch, reduced)
 	}
-	packed, err = Bcast(c, 0, packed)
+	msg, err := bcast(c, 0, scratch)
+	pb.Release()
 	if err != nil {
 		return nil, err
 	}
-	return decodeInt64s(packed)
+	if c.Rank() == 0 {
+		return reduced, nil
+	}
+	defer msg.Release()
+	return decodeInt64s(msg.Data)
 }
 
 func encodeFloat64s(xs []float64) []byte {
@@ -479,10 +567,15 @@ func decodeFloat64s(buf []byte) ([]float64, error) {
 
 func encodeInt64s(xs []int64) []byte {
 	buf := make([]byte, 8*len(xs))
+	encodeInt64sInto(buf, xs)
+	return buf
+}
+
+// encodeInt64sInto is encodeFloat64sInto for int64 vectors.
+func encodeInt64sInto(buf []byte, xs []int64) {
 	for i, x := range xs {
 		binary.LittleEndian.PutUint64(buf[8*i:], uint64(x))
 	}
-	return buf
 }
 
 func decodeInt64s(buf []byte) ([]int64, error) {
@@ -498,20 +591,29 @@ func decodeInt64s(buf []byte) ([]int64, error) {
 
 // packParts length-prefixes a slice of byte slices into one payload.
 func packParts(parts [][]byte) []byte {
+	buf := make([]byte, packedLen(parts))
+	packPartsInto(buf, parts)
+	return buf
+}
+
+// packedLen is the size of parts' packed encoding.
+func packedLen(parts [][]byte) int {
 	total := 4
 	for _, p := range parts {
 		total += 4 + len(p)
 	}
-	buf := make([]byte, 0, total)
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(parts)))
-	buf = append(buf, hdr[:]...)
+	return total
+}
+
+// packPartsInto writes parts' packed encoding into buf, which must hold
+// exactly packedLen(parts) bytes.
+func packPartsInto(buf []byte, parts [][]byte) {
+	binary.LittleEndian.PutUint32(buf, uint32(len(parts)))
+	off := 4
 	for _, p := range parts {
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(p)))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, p...)
+		binary.LittleEndian.PutUint32(buf[off:], uint32(len(p)))
+		off += 4 + copy(buf[off+4:], p)
 	}
-	return buf
 }
 
 // unpackParts reverses packParts, checking the count against want.

@@ -1,8 +1,11 @@
 package redundancy
 
 import (
+	"bytes"
 	"testing"
 
+	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/simmpi"
 )
 
@@ -98,5 +101,54 @@ func TestDegree2IsendFanoutAllocs(t *testing.T) {
 	// the interface boxing around mpi.Request.
 	if avg := testing.AllocsPerRun(100, round); avg > 4 {
 		t.Errorf("degree-2 Isend round allocates %.2f, want ≤4", avg)
+	}
+}
+
+// TestDegree2LargePayloadSharesFanout sends an 80 KB payload — CG's
+// packed allgather size class, above the arena's old 64 KiB cap — at
+// degree 2: every physical send must ride the shared pooled buffer
+// (simmpi_copies_elided_total counts each one) instead of a per-replica
+// deep copy.
+func TestDegree2LargePayloadSharesFanout(t *testing.T) {
+	reg := obs.NewRegistry()
+	w, err := simmpi.NewWorld(4, mpi.WithObs(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewRankMap(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comms := make([]*Comm, 4)
+	for p := range comms {
+		pc, _ := w.Comm(p)
+		if comms[p], err = Wrap(pc, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sphere0, _ := m.Sphere(0)
+	sphere1, _ := m.Sphere(1)
+	payload := make([]byte, 80_000)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	for _, p := range sphere0 {
+		if err := comms[p].Send(1, 1, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range sphere1 {
+		msg, err := comms[p].Recv(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(msg.Data, payload) {
+			t.Fatal("80 KB payload delivered corrupt")
+		}
+		msg.Release()
+	}
+	want := uint64(len(sphere0) * len(sphere1))
+	if got := reg.Snapshot().Counter("simmpi_copies_elided_total"); got != want {
+		t.Fatalf("simmpi_copies_elided_total = %d, want %d (one per physical send)", got, want)
 	}
 }

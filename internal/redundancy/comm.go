@@ -118,6 +118,10 @@ type Comm struct {
 	// the per-message hash does not allocate. Safe because a Comm belongs
 	// to one replica goroutine.
 	hashScratch [8]byte
+	// digests counts the payload digests this endpoint computed. Only
+	// Msg-PlusHash traffic needs one (a hash copy to send or to check);
+	// tests pin it at zero for All-to-all and unreplicated deliveries.
+	digests uint64
 
 	// Receive-path scratch, reused across blocking receives and
 	// verifications for the same single-goroutine reason. Entries are
@@ -311,12 +315,8 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 	var full, hashed []byte
 	var fullPB, hashPB *mpi.PooledBuf
 	defer func() {
-		if fullPB != nil {
-			fullPB.Release()
-		}
-		if hashPB != nil {
-			hashPB.Release()
-		}
+		fullPB.Release()
+		hashPB.Release()
 	}()
 	for j, q := range sphere {
 		kind := kindFull
@@ -338,7 +338,7 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 			payload, pb = full, fullPB
 		default:
 			if hashed == nil {
-				h := payloadHashInto(c.hashScratch[:], data)
+				h := c.digest(data)
 				if c.shared != nil {
 					hashed, hashPB = c.shared.AcquireBuffer(wireHeaderLen + len(h))
 				} else {
@@ -435,14 +435,18 @@ func (c *Comm) verify(copies []wireMsg) ([]byte, int, error) {
 		c.stats.votes.Add(1)
 	}
 	// Group identical payloads (full copies by bytes, then check hashes
-	// against the winning payload's digest).
+	// against the winning payload's digest). The digest is computed only
+	// when a hash copy arrived to compare it with: All-to-all and
+	// unreplicated deliveries never hash.
 	winner, win, agree, disagree := vote(fulls)
-	h := payloadHashInto(c.hashScratch[:], winner)
-	for _, hv := range hashes {
-		if string(hv) == string(h) {
-			agree++
-		} else {
-			disagree++
+	if len(hashes) > 0 {
+		h := c.digest(winner)
+		for _, hv := range hashes {
+			if string(hv) == string(h) {
+				agree++
+			} else {
+				disagree++
+			}
 		}
 	}
 	if disagree > 0 {
@@ -458,6 +462,13 @@ func (c *Comm) verify(copies []wireMsg) ([]byte, int, error) {
 		// a mismatch, mirroring RedMPI's detect-only capability at 2x.
 	}
 	return winner, fullIdx[win], nil
+}
+
+// digest hashes payload into the Comm's scratch; the result is valid
+// until the next digest call.
+func (c *Comm) digest(payload []byte) []byte {
+	c.digests++
+	return payloadHashInto(c.hashScratch[:], payload)
 }
 
 // vote groups byte-identical payloads and returns the plurality payload,

@@ -220,16 +220,14 @@ func TestCollectivesOverPartialRedundancy(t *testing.T) {
 		if sum[0] != n {
 			return fmt.Errorf("sum %v", sum)
 		}
-		parts, err := mpi.Allgather(c, []byte{byte(c.Rank())})
-		if err != nil {
-			return err
-		}
-		for i, p := range parts {
-			if p[0] != byte(i) {
-				return fmt.Errorf("allgather part %d = %v", i, p)
+		return mpi.Allgather(c, []byte{byte(c.Rank())}, func(parts [][]byte) error {
+			for i, p := range parts {
+				if p[0] != byte(i) {
+					return fmt.Errorf("allgather part %d = %v", i, p)
+				}
 			}
-		}
-		return nil
+			return nil
+		})
 	})
 }
 

@@ -8,10 +8,21 @@ import (
 	"repro/internal/simmpi"
 )
 
-// launchWithCorrupt runs a 2-virtual-rank world at the given degree with
-// Options.Corrupt enabled on one physical rank's replica.
-func launchWithCorrupt(t *testing.T, degree float64, corruptPhys int,
-	fn func(c *Comm) error) map[string]Stats {
+// replicaRun is one replica's view after launchReplicas: its virtual
+// rank, replica index, delivery stats and the digests it computed.
+type replicaRun struct {
+	rank, replica int
+	stats         Stats
+	digests       uint64
+}
+
+// launchReplicas runs fn on every replica of a 2-virtual-rank world at
+// the given degree and mode, with Options.Corrupt enabled on physical
+// rank corruptPhys (-1 for none): that replica corrupts its outgoing
+// payloads before they are hashed, so its full copies and its hashes
+// both disagree with its twins'.
+func launchReplicas(t *testing.T, degree float64, mode Mode, corruptPhys int,
+	fn func(c *Comm) error) ([]replicaRun, error) {
 	t.Helper()
 	m, err := NewRankMap(2, degree)
 	if err != nil {
@@ -22,23 +33,36 @@ func launchWithCorrupt(t *testing.T, degree float64, corruptPhys int,
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
-	stats := map[string]Stats{}
+	var runs []replicaRun
 	appErr, failures := w.Run(func(pc *simmpi.Comm) error {
-		rc, err := New(pc, m, Options{Live: w, Corrupt: pc.Rank() == corruptPhys})
+		rc, err := New(pc, m, Options{Live: w, Mode: mode, Corrupt: pc.Rank() == corruptPhys})
 		if err != nil {
 			return err
 		}
 		err = fn(rc)
 		mu.Lock()
-		stats[fmt.Sprintf("%d/%d", rc.Rank(), rc.ReplicaIndex())] = rc.Stats()
+		runs = append(runs, replicaRun{rc.Rank(), rc.ReplicaIndex(), rc.Stats(), rc.digests})
 		mu.Unlock()
 		return err
 	})
+	if len(failures) != 0 {
+		t.Fatalf("failures: %v", failures)
+	}
+	return runs, appErr
+}
+
+// launchWithCorrupt is launchReplicas in All-to-all mode for runs that
+// must succeed, keyed "rank/replica".
+func launchWithCorrupt(t *testing.T, degree float64, corruptPhys int,
+	fn func(c *Comm) error) map[string]Stats {
+	t.Helper()
+	runs, appErr := launchReplicas(t, degree, AllToAll, corruptPhys, fn)
 	if appErr != nil {
 		t.Fatalf("app error: %v", appErr)
 	}
-	if len(failures) != 0 {
-		t.Fatalf("failures: %v", failures)
+	stats := map[string]Stats{}
+	for _, r := range runs {
+		stats[fmt.Sprintf("%d/%d", r.rank, r.replica)] = r.stats
 	}
 	return stats
 }

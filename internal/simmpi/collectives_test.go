@@ -134,19 +134,17 @@ func TestGatherScatter(t *testing.T) {
 func TestAllgather(t *testing.T) {
 	const n = 6
 	runAll(t, n, func(c *Comm) error {
-		parts, err := mpi.Allgather(c, []byte(fmt.Sprintf("r%d", c.Rank())))
-		if err != nil {
-			return err
-		}
-		if len(parts) != n {
-			return fmt.Errorf("got %d parts", len(parts))
-		}
-		for i, p := range parts {
-			if string(p) != fmt.Sprintf("r%d", i) {
-				return fmt.Errorf("part %d = %q", i, p)
+		return mpi.Allgather(c, []byte(fmt.Sprintf("r%d", c.Rank())), func(parts [][]byte) error {
+			if len(parts) != n {
+				return fmt.Errorf("got %d parts", len(parts))
 			}
-		}
-		return nil
+			for i, p := range parts {
+				if string(p) != fmt.Sprintf("r%d", i) {
+					return fmt.Errorf("part %d = %q", i, p)
+				}
+			}
+			return nil
+		})
 	})
 }
 

@@ -373,6 +373,30 @@ func TestSendFromKilledRankFails(t *testing.T) {
 	}
 }
 
+// TestLateDepositFromKilledSenderDropped replays the interleaving where a
+// sender passes its send prologue, is killed, and only then deposits:
+// the receiver has already been told the sender is dead, so the late
+// message must be dropped. Queued, it would match the receiver's next
+// receive from that sender and deliver one operation's payload as the
+// next one's (a stale bcast or reduce payload under redundancy, where
+// the dead replica's copy wins a 1-vs-1 vote).
+func TestLateDepositFromKilledSenderDropped(t *testing.T) {
+	w := newTestWorld(t, 2)
+	c1 := comm(t, w, 1)
+	w.Kill(0)
+	if _, err := c1.Recv(0, 7); !errors.Is(err, mpi.ErrPeerDead) {
+		t.Fatalf("recv err = %v, want ErrPeerDead", err)
+	}
+	buf, pb := w.pool.Acquire(8)
+	if w.table.deposit(1, 0, 7, buf, pb) {
+		t.Fatal("deposit from a killed sender accepted")
+	}
+	pb.Release()
+	if _, err := c1.Recv(0, 7); !errors.Is(err, mpi.ErrPeerDead) {
+		t.Fatalf("second recv err = %v, want ErrPeerDead (no stale message)", err)
+	}
+}
+
 func TestAbortUnblocksEveryone(t *testing.T) {
 	w := newTestWorld(t, 4)
 	var wg sync.WaitGroup

@@ -7,6 +7,7 @@ import "repro/internal/mpi"
 // multi-process runtime's socket receive path borrows the same pooled
 // buffers for zero-copy frame delivery. These aliases keep the World's
 // internals reading as before; the arena's unit tests moved with it.
+// Every World draws from the one process-wide arena (mpi.SharedArena).
 type arena = mpi.Arena
 
-func newArena() *arena { return mpi.NewArena() }
+func newArena() *arena { return mpi.SharedArena() }

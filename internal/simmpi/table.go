@@ -218,6 +218,13 @@ func (s *mboxShard) signalKey(b *rankBox, k waitKey) {
 // interrupted epoch's traffic is recomputed from the checkpoint anyway);
 // the caller still owns pb's reference on that path and must release it.
 // On acceptance the reference rides the envelope to the receiver.
+//
+// A deposit from a sender killed after its send prologue is dropped too.
+// The sender's liveness is read under the receiver's shard lock, where
+// receive also reads it, so a receive that has reported the sender dead
+// can never find a message the sender deposited afterwards. Such a late
+// message would otherwise match the receiver's *next* receive from that
+// sender and deliver one operation's payload as another's.
 func (t *mboxTable) deposit(dst, src, tag int, data []byte, pb *mpi.PooledBuf) bool {
 	w := t.world
 	if w.aborted.Load() || w.interrupted.Load() || w.dead.get(dst) {
@@ -225,6 +232,10 @@ func (t *mboxTable) deposit(dst, src, tag int, data []byte, pb *mpi.PooledBuf) b
 	}
 	s := t.shardFor(dst)
 	s.mu.Lock()
+	if w.dead.get(src) {
+		s.mu.Unlock()
+		return false
+	}
 	b := s.box(dst)
 	b.depositLocked(s, src, tag, data, pb)
 	if !b.dirty {
