@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/mpi"
 )
@@ -267,7 +268,8 @@ func decodeVec(buf []byte) ([]float64, error) {
 }
 
 // appendDecodedVec decodes an encodeVec payload straight onto dst,
-// without the intermediate slice decodeVec returns.
+// without the intermediate slice decodeVec returns. dst grows once to
+// its final length and the floats are stored in place.
 func appendDecodedVec(dst []float64, buf []byte) ([]float64, error) {
 	r := stateReader{buf: buf}
 	n, err := r.int()
@@ -277,10 +279,14 @@ func appendDecodedVec(dst []float64, buf []byte) ([]float64, error) {
 	if n < 0 || len(r.buf) != 8*n {
 		return dst, fmt.Errorf("apps: vector declares %d floats in %d bytes", n, len(r.buf))
 	}
-	for i := 0; i < n; i++ {
-		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(r.buf[8*i:])))
+	dst = slices.Grow(dst, n)
+	out := dst[len(dst) : len(dst)+n]
+	src := r.buf
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src))
+		src = src[8:]
 	}
-	return dst, nil
+	return dst[:len(dst)+n], nil
 }
 
 // allgatherVec assembles the distributed vector whose local block is
@@ -288,7 +294,7 @@ func appendDecodedVec(dst []float64, buf []byte) ([]float64, error) {
 // part straight out of the transport buffers before Allgather releases
 // them.
 func allgatherVec(c mpi.Comm, data []byte, n int, full *[]float64) error {
-	*full = (*full)[:0]
+	*full = slices.Grow((*full)[:0], n)
 	return mpi.Allgather(c, data, func(parts [][]byte) error {
 		for _, part := range parts {
 			var err error

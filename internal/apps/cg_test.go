@@ -288,6 +288,27 @@ func TestEncodeVecRoundTrip(t *testing.T) {
 	}
 }
 
+func TestAppendDecodedVecKeepsPrefix(t *testing.T) {
+	xs := []float64{1.5, -2.25, math.Pi, math.Inf(-1), math.Copysign(0, -1)}
+	dst := make([]float64, 2, 3) // too small: the decode must grow it
+	dst[0], dst[1] = 7, 8
+	got, err := appendDecodedVec(dst, encodeVec(xs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2+len(xs) || got[0] != 7 || got[1] != 8 {
+		t.Fatalf("prefix lost: %v", got)
+	}
+	for i, x := range xs {
+		if math.Float64bits(got[2+i]) != math.Float64bits(x) {
+			t.Fatalf("entry %d: %v vs %v", i, got[2+i], x)
+		}
+	}
+	if got, err := appendDecodedVec(dst, []byte{1, 2, 3}); err == nil || len(got) != 2 {
+		t.Fatalf("garbage decode = %v, %v; want dst unchanged and an error", got, err)
+	}
+}
+
 func TestCGUnevenPartition(t *testing.T) {
 	// 25 unknowns across 4 ranks: 7/6/6/6 split must still solve.
 	m, err := Laplacian2D(5)

@@ -248,13 +248,16 @@ func (tf *TaskFarm) masterShrink(ctx *Context) error {
 		}
 	}
 
+	// The total goes to each worker point to point rather than by a tree
+	// Bcast: a worker killed now would otherwise be a dead relay whose
+	// subtree never receives it, while a send to a dead rank is dropped.
 	for w := 1; w < c.Size(); w++ {
 		if err := c.Send(w, tagWork, encodeTask(taskStop)); err != nil {
 			return err
 		}
-	}
-	if _, err := mpi.Bcast(c, 0, encodeTask64(total)); err != nil {
-		return err
+		if err := c.Send(w, tagTotal, encodeTask64(total)); err != nil {
+			return err
+		}
 	}
 	tf.Total = total
 	return nil
@@ -331,11 +334,11 @@ func (tf *TaskFarm) workerShrink(ctx *Context) error {
 			return err
 		}
 	}
-	buf, err := mpi.Bcast(c, 0, nil)
+	msg, err := c.Recv(0, tagTotal)
 	if err != nil {
 		return err
 	}
-	tf.Total, err = decodeTask64(buf)
+	tf.Total, err = decodeTask64(msg.Data)
 	return err
 }
 

@@ -2,6 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -279,4 +281,44 @@ func benchPeerCommit(b *testing.B, k, m int, settleEachGen bool) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(resident), "resident-bytes")
+}
+
+// BenchmarkStableRestore measures one rank's restore from the stable
+// tier as the cg-cr job benchmark does it: Latest, then Read of the
+// rank's image, through CompressedStorage over a FileStorage directory
+// that already holds 40 committed generations (a 400-step job
+// checkpointing every 10 steps). The image is ~40 KiB of smooth float64
+// state, about one CG rank's snapshot.
+func BenchmarkStableRestore(b *testing.B) {
+	const gens = 40
+	fs, err := NewFileStorage(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := NewCompressedStorage(fs)
+	state := make([]byte, 0, 40<<10)
+	for i := 0; len(state) < cap(state); i++ {
+		state = binary.LittleEndian.AppendUint64(state, math.Float64bits(math.Sin(float64(i)/64)))
+	}
+	for g := uint64(1); g <= gens; g++ {
+		if err := s.Write(g, 0, state); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Commit(g, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(len(state)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gen, _, ok, err := s.Latest()
+		if err != nil || !ok || gen != gens {
+			b.Fatalf("Latest = %d, %v, %v", gen, ok, err)
+		}
+		got, err := s.Read(gen, 0)
+		if err != nil || len(got) != len(state) {
+			b.Fatalf("Read: %d bytes, %v", len(got), err)
+		}
+	}
 }

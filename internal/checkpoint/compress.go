@@ -6,21 +6,106 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/obs"
 )
 
-// compressScratch pools the per-Write compression state. Both pieces are
-// reset-and-reused: checkpoint writers fire on every interval, and the
-// flate.Writer alone is tens of kilobytes of window state.
-type compressScratch struct {
+// compressor is a reusable flate.Writer and the buffer it writes into,
+// both reset rather than rebuilt per image.
+type compressor struct {
 	buf   bytes.Buffer
 	w     *flate.Writer
 	level int // the level w was built with; Reset cannot change it
 }
 
-var compressPool = sync.Pool{New: func() any { return new(compressScratch) }}
+// compressors is the bounded set of compressors every CompressedStorage
+// shares: one per GOMAXPROCS, built on first use (so a GOMAXPROCS set
+// after package init still counts). A flate.Writer carries about a
+// megabyte of window and hash state, so one per concurrent writer, as a
+// sync.Pool hands out and GC then discards, costs memory without buying
+// speed: no more images compress at once than there are processors. A
+// compressor is held only while it deflates, never across a call into
+// another Storage, so holders always make progress and release it.
+var compressors = sync.OnceValue(func() chan *compressor {
+	n := runtime.GOMAXPROCS(0)
+	set := make(chan *compressor, n)
+	for i := 0; i < n; i++ {
+		set <- new(compressor)
+	}
+	return set
+})
+
+// deflateCopy compresses data with a compressor from the shared set and
+// returns a copy of the stream, so the compressor is free again when it
+// returns.
+func deflateCopy(level int, data []byte) ([]byte, error) {
+	set := compressors()
+	c := <-set
+	defer func() { set <- c }()
+	c.buf.Reset()
+	if c.w == nil || c.level != level {
+		w, err := flate.NewWriter(&c.buf, level)
+		if err != nil {
+			return nil, fmt.Errorf("checkpoint: compressor: %w", err)
+		}
+		c.w, c.level = w, level
+	} else {
+		c.w.Reset(&c.buf)
+	}
+	if _, err := c.w.Write(data); err != nil {
+		return nil, fmt.Errorf("checkpoint: compressing: %w", err)
+	}
+	if err := c.w.Close(); err != nil {
+		return nil, fmt.Errorf("checkpoint: compressing: %w", err)
+	}
+	return bytes.Clone(c.buf.Bytes()), nil
+}
+
+// inflater is a reusable DEFLATE decoder: Reset (flate.Resetter) rebinds
+// it to a new stream without reallocating its window and tables, and
+// out keeps its capacity between images.
+type inflater struct {
+	src bytes.Reader
+	r   io.ReadCloser
+	out []byte
+}
+
+var inflaters = sync.Pool{New: func() any {
+	in := new(inflater)
+	in.r = flate.NewReader(&in.src)
+	return in
+}}
+
+// getInflater takes an inflater from the pool and binds it to stream;
+// the caller puts it back when done.
+func getInflater(stream []byte) *inflater {
+	in := inflaters.Get().(*inflater)
+	in.src.Reset(stream)
+	in.r.(flate.Resetter).Reset(&in.src, nil)
+	return in
+}
+
+// inflate decodes one complete DEFLATE stream into in.out, reusing its
+// capacity, and returns an exact-size copy.
+func (in *inflater) inflate() ([]byte, error) {
+	in.out = in.out[:0]
+	for {
+		if len(in.out) == cap(in.out) {
+			in.out = slices.Grow(in.out, max(cap(in.out), 4<<10))
+		}
+		n, err := in.r.Read(in.out[len(in.out):cap(in.out)])
+		in.out = in.out[:len(in.out)+n]
+		if err == io.EOF {
+			return bytes.Clone(in.out), nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
 
 // CompressedStorage wraps a Storage and DEFLATE-compresses rank images on
 // the way in — the "checkpoint compression" optimisation the paper
@@ -67,31 +152,7 @@ func NewCompressedStorage(inner Storage) *CompressedStorage {
 	return &CompressedStorage{Inner: inner, Level: flate.DefaultCompression}
 }
 
-// deflateInto compresses data into sc.buf (reset first), reusing the
-// scratch's flate.Writer when its level matches.
-func deflateInto(sc *compressScratch, level int, data []byte) error {
-	sc.buf.Reset()
-	if sc.w == nil || sc.level != level {
-		w, err := flate.NewWriter(&sc.buf, level)
-		if err != nil {
-			return fmt.Errorf("checkpoint: compressor: %w", err)
-		}
-		sc.w, sc.level = w, level
-	} else {
-		sc.w.Reset(&sc.buf)
-	}
-	if _, err := sc.w.Write(data); err != nil {
-		return fmt.Errorf("checkpoint: compressing: %w", err)
-	}
-	if err := sc.w.Close(); err != nil {
-		return fmt.Errorf("checkpoint: compressing: %w", err)
-	}
-	return nil
-}
-
-// Write implements Storage. The compressed image is built in pooled
-// scratch and handed to Inner.Write, which must not retain it (every
-// Storage implementation copies at its boundary).
+// Write implements Storage.
 func (s *CompressedStorage) Write(gen uint64, rank int, state []byte) error {
 	level := s.Level
 	if level == 0 {
@@ -104,14 +165,13 @@ func (s *CompressedStorage) Write(gen uint64, rank int, state []byte) error {
 	if s.Shards > 1 && len(state) > chunkSize {
 		return s.writeSharded(gen, rank, state, level, chunkSize)
 	}
-	sc := compressPool.Get().(*compressScratch)
-	defer compressPool.Put(sc)
-	if err := deflateInto(sc, level, state); err != nil {
+	out, err := deflateCopy(level, state)
+	if err != nil {
 		return err
 	}
 	s.Obs.Counter("checkpoint_raw_bytes_total").Add(uint64(len(state)))
-	s.Obs.Counter("checkpoint_compressed_bytes_total").Add(uint64(sc.buf.Len()))
-	return s.Inner.Write(gen, rank, sc.buf.Bytes())
+	s.Obs.Counter("checkpoint_compressed_bytes_total").Add(uint64(len(out)))
+	return s.Inner.Write(gen, rank, out)
 }
 
 // writeSharded compresses fixed-size chunks of state in parallel and
@@ -127,7 +187,7 @@ func (s *CompressedStorage) writeSharded(gen uint64, rank int, state []byte, lev
 	if workers > nChunks {
 		workers = nChunks
 	}
-	scratches := make([]*compressScratch, nChunks)
+	frames := make([][]byte, nChunks)
 	errs := make([]error, nChunks)
 	var wg sync.WaitGroup
 	next := make(chan int)
@@ -141,9 +201,7 @@ func (s *CompressedStorage) writeSharded(gen uint64, rank int, state []byte, lev
 				if hi > len(state) {
 					hi = len(state)
 				}
-				sc := compressPool.Get().(*compressScratch)
-				scratches[i] = sc
-				errs[i] = deflateInto(sc, level, state[lo:hi])
+				frames[i], errs[i] = deflateCopy(level, state[lo:hi])
 			}
 		}()
 	}
@@ -152,13 +210,6 @@ func (s *CompressedStorage) writeSharded(gen uint64, rank int, state []byte, lev
 	}
 	close(next)
 	wg.Wait()
-	defer func() {
-		for _, sc := range scratches {
-			if sc != nil {
-				compressPool.Put(sc)
-			}
-		}
-	}()
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -169,9 +220,9 @@ func (s *CompressedStorage) writeSharded(gen uint64, rank int, state []byte, lev
 	out = appendUvarint(out, uint64(len(state)))
 	out = appendUvarint(out, uint64(chunkSize))
 	out = appendUvarint(out, uint64(nChunks))
-	for _, sc := range scratches {
-		out = appendUvarint(out, uint64(sc.buf.Len()))
-		out = append(out, sc.buf.Bytes()...)
+	for _, frame := range frames {
+		out = appendUvarint(out, uint64(len(frame)))
+		out = append(out, frame...)
 	}
 	s.Obs.Counter("checkpoint_raw_bytes_total").Add(uint64(len(state)))
 	s.Obs.Counter("checkpoint_compressed_bytes_total").Add(uint64(len(out)))
@@ -193,9 +244,9 @@ func (s *CompressedStorage) Read(gen uint64, rank int) ([]byte, error) {
 		}
 		return state, nil
 	}
-	r := flate.NewReader(bytes.NewReader(compressed))
-	defer r.Close()
-	state, err := io.ReadAll(r)
+	in := getInflater(compressed)
+	defer inflaters.Put(in)
+	state, err := in.inflate()
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: decompressing gen %d rank %d: %w", gen, rank, err)
 	}
@@ -277,19 +328,18 @@ func readSharded(payload []byte, shards int) ([]byte, error) {
 				if hi > rawSize {
 					hi = rawSize
 				}
-				r := flate.NewReader(bytes.NewReader(frames[i]))
-				n, err := io.ReadFull(r, out[lo:hi])
+				in := getInflater(frames[i])
+				n, err := io.ReadFull(in.r, out[lo:hi])
 				if err != nil {
 					errs[i] = fmt.Errorf("chunk %d: %w", i, err)
-					r.Close()
-					continue
+				} else {
+					// The chunk must end exactly at its frame boundary.
+					var extra [1]byte
+					if m, _ := in.r.Read(extra[:]); m != 0 {
+						errs[i] = fmt.Errorf("chunk %d: longer than %d raw bytes", i, n)
+					}
 				}
-				// The chunk must end exactly at its frame boundary.
-				var extra [1]byte
-				if m, _ := r.Read(extra[:]); m != 0 {
-					errs[i] = fmt.Errorf("chunk %d: longer than %d raw bytes", i, n)
-				}
-				r.Close()
+				inflaters.Put(in)
 			}
 		}()
 	}

@@ -2,7 +2,11 @@ package checkpoint
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -238,4 +242,133 @@ func TestShardedCorruptionIsAnError(t *testing.T) {
 			t.Fatalf("inconsistent header restored %d bytes with nil error", len(got))
 		}
 	})
+}
+
+func TestCompressedConcurrentWritersRoundTrip(t *testing.T) {
+	// Four writers per compressor in the shared set: each waits its turn
+	// and none may see another's stream.
+	writers := 4 * runtime.GOMAXPROCS(0)
+	s := NewCompressedStorage(NewMemStorage())
+	image := func(rank int) []byte {
+		return []byte(strings.Repeat(fmt.Sprintf("rank %d state;", rank), 300+rank))
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, writers)
+	for r := 0; r < writers; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			errs[rank] = s.Write(1, rank, image(rank))
+		}(r)
+	}
+	wg.Wait()
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", rank, err)
+		}
+	}
+	if err := s.Commit(1, writers); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < writers; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			got, err := s.Read(1, rank)
+			if err != nil || !bytes.Equal(got, image(rank)) {
+				t.Errorf("rank %d: round trip mismatch (err %v)", rank, err)
+			}
+		}(r)
+	}
+	wg.Wait()
+}
+
+func TestShardedMoreShardsThanProcessors(t *testing.T) {
+	// Shards above the compressor count: each worker holds at most one
+	// compressor at a time, so the extra workers wait rather than
+	// deadlock. Two such writers at once share the same set.
+	shards := 2*runtime.GOMAXPROCS(0) + 1
+	s := &CompressedStorage{Inner: NewMemStorage(), Shards: shards, ChunkSize: 1024}
+	state := shardedTestState(3*shards*1024 + 77)
+	var wg sync.WaitGroup
+	for rank := 0; rank < 2; rank++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			if err := s.Write(1, rank, state); err != nil {
+				t.Error(err)
+			}
+		}(rank)
+	}
+	wg.Wait()
+	if err := s.Commit(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	for rank := 0; rank < 2; rank++ {
+		if got, err := s.Read(1, rank); err != nil || !bytes.Equal(got, state) {
+			t.Fatalf("rank %d: sharded round trip mismatch (err %v)", rank, err)
+		}
+	}
+}
+
+func TestCompressedReadRecoversAfterCorruptStream(t *testing.T) {
+	// Inflaters are pooled: one left mid-error by a corrupt image must
+	// decode the next image cleanly.
+	inner := NewMemStorage()
+	s := NewCompressedStorage(inner)
+	state := bytes.Repeat([]byte("restart-image-"), 500)
+	if err := s.Write(1, 0, state); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	compressed, err := inner.Read(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inner.Write(2, 0, compressed[:len(compressed)/2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(2, 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := s.Read(2, 0); err == nil {
+			t.Fatal("truncated stream restored with nil error")
+		}
+		if got, err := s.Read(1, 0); err != nil || !bytes.Equal(got, state) {
+			t.Fatalf("read after a corrupt stream: mismatch (err %v)", err)
+		}
+	}
+}
+
+// TestCompressedReadAllocs pins the restore path's allocations: the
+// inner store's copy of the stream and the exact-size image returned.
+// The inflater and its output buffer are reused, not rebuilt per read.
+// The image is incompressible, so DEFLATE stores it verbatim and the
+// count holds no Huffman tables, which compress/flate allocates per
+// dynamic block whatever the caller does.
+func TestCompressedReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under the race detector")
+	}
+	s := NewCompressedStorage(NewMemStorage())
+	state := make([]byte, 64<<10)
+	rand.New(rand.NewSource(1)).Read(state)
+	if err := s.Write(1, 0, state); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		if _, err := s.Read(1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read() // grow the pooled inflater's buffer to the image size
+	if avg := testing.AllocsPerRun(100, read); avg > 2 {
+		t.Errorf("CompressedStorage.Read allocates %.2f per image, want <= 2", avg)
+	}
 }

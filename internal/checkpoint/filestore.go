@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 )
@@ -19,6 +20,9 @@ import (
 // Rank images are written to a temporary name and renamed into place, and
 // the COMMIT manifest is the atomic publication point, so readers never
 // observe a torn generation — the property "stable storage" demands.
+// That is also why Latest and Read take no lock: every file they open
+// was published whole by a rename. mu serialises this handle's writers
+// only.
 type FileStorage struct {
 	dir string
 	mu  sync.Mutex
@@ -125,37 +129,35 @@ func (s *FileStorage) Commit(gen uint64, n int) error {
 	return nil
 }
 
-// Latest implements Storage.
+// Latest implements Storage. It walks the generations newest first and
+// stops at the first committed one, so a restart reads one manifest
+// however many generations the directory holds. An uncommitted newer
+// generation (a checkpoint cut short) is skipped; a corrupt manifest on
+// the generation Latest would return is an error, while one on an older
+// generation is never read.
 func (s *FileStorage) Latest() (uint64, int, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return 0, 0, false, fmt.Errorf("checkpoint: %w", err)
 	}
-	var best uint64
-	bestRanks := 0
-	found := false
+	gens := make([]uint64, 0, len(entries))
 	for _, e := range entries {
-		if !e.IsDir() {
-			continue
+		if gen, ok := parseGenDir(e.Name()); ok && e.IsDir() {
+			gens = append(gens, gen)
 		}
-		gen, ok := parseGenDir(e.Name())
-		if !ok {
-			continue
-		}
-		manifest, err := s.readManifest(gen)
+	}
+	slices.Sort(gens)
+	for i := len(gens) - 1; i >= 0; i-- {
+		manifest, err := s.readManifest(gens[i])
 		if errors.Is(err, fs.ErrNotExist) {
-			continue // uncommitted
+			continue // uncommitted, or dropped since the listing
 		}
 		if err != nil {
 			return 0, 0, false, err
 		}
-		if !found || gen > best {
-			best, bestRanks, found = gen, manifest.Ranks, true
-		}
+		return gens[i], manifest.Ranks, true, nil
 	}
-	return best, bestRanks, found, nil
+	return 0, 0, false, nil
 }
 
 func parseGenDir(name string) (uint64, bool) {
@@ -181,8 +183,6 @@ func (s *FileStorage) readManifest(gen uint64) (commitManifest, error) {
 
 // Read implements Storage.
 func (s *FileStorage) Read(gen uint64, rank int) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, err := s.readManifest(gen); err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil, fmt.Errorf("read gen %d: %w", gen, ErrNotCommitted)

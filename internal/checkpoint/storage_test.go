@@ -365,3 +365,128 @@ func TestFileStorageConcurrentCommitAcrossHandles(t *testing.T) {
 		}
 	}
 }
+
+// commitGens writes one image per generation in gens (its first byte is
+// the generation) and commits each.
+func commitGens(t *testing.T, s Storage, gens ...uint64) {
+	t.Helper()
+	for _, g := range gens {
+		if err := s.Write(g, 0, []byte{byte(g), 0xAB}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Commit(g, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestFileStorageLatestSkipsUncommittedNewest(t *testing.T) {
+	s, err := NewFileStorage(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitGens(t, s, 1, 2)
+	// A checkpoint cut short: gen 3 has its image but no manifest.
+	if err := s.Write(3, 0, []byte("torn")); err != nil {
+		t.Fatal(err)
+	}
+	gen, n, ok, err := s.Latest()
+	if err != nil || !ok || gen != 2 || n != 1 {
+		t.Fatalf("Latest = (%d, %d, %v, %v), want (2, 1, true, nil)", gen, n, ok, err)
+	}
+}
+
+func TestFileStorageLatestIgnoresCorruptOlderManifest(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewFileStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitGens(t, s, 1, 2, 10)
+	// Generation order is numeric, not lexical: "gen-2" sorts after
+	// "gen-10" as a string, and its manifest is the corrupt one.
+	if err := writeFileHelper(fmt.Sprintf("%s/gen-2/COMMIT", dir), []byte("{not json")); err != nil {
+		t.Fatal(err)
+	}
+	gen, _, ok, err := s.Latest()
+	if err != nil || !ok || gen != 10 {
+		t.Fatalf("Latest = (%d, %v, %v), want gen 10 past the corrupt gen 2", gen, ok, err)
+	}
+}
+
+func TestFileStorageReadsRaceNewerCommits(t *testing.T) {
+	// Restores read through their own handle while the job's writer
+	// publishes newer generations: Latest must only ever name a whole
+	// generation, and Read of it must return that generation's image.
+	dir := t.TempDir()
+	writer, err := NewFileStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader, err := NewFileStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const gens, ranks = 60, 3
+	image := func(g uint64, rank int) []byte {
+		return bytes.Repeat([]byte{byte(g), byte(rank)}, 512)
+	}
+	commitGens(t, writer, 0)
+	done := make(chan struct{})
+	var writeErr error
+	go func() {
+		defer close(done)
+		for g := uint64(1); g <= gens; g++ {
+			for r := 0; r < ranks; r++ {
+				if writeErr = writer.Write(g, r, image(g, r)); writeErr != nil {
+					return
+				}
+			}
+			if writeErr = writer.Commit(g, ranks); writeErr != nil {
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for r := 0; r < ranks; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			last := uint64(0)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				gen, n, ok, err := reader.Latest()
+				if err != nil || !ok {
+					t.Errorf("Latest = (%d, %v, %v)", gen, ok, err)
+					return
+				}
+				if gen < last {
+					t.Errorf("Latest went back from %d to %d", last, gen)
+					return
+				}
+				last = gen
+				if gen == 0 {
+					continue // the seed generation has one rank
+				}
+				got, err := reader.Read(gen, rank)
+				if err != nil || n != ranks || !bytes.Equal(got, image(gen, rank)) {
+					t.Errorf("gen %d rank %d: n=%d err=%v, image mismatch=%v",
+						gen, rank, n, err, !bytes.Equal(got, image(gen, rank)))
+					return
+				}
+			}
+		}(r)
+	}
+	<-done
+	wg.Wait()
+	if writeErr != nil {
+		t.Fatal(writeErr)
+	}
+	if gen, _, _, err := reader.Latest(); err != nil || gen != gens {
+		t.Fatalf("final Latest = %d, %v; want %d", gen, err, gens)
+	}
+}
