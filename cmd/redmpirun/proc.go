@@ -268,22 +268,10 @@ func runProcWorker(pf procFlags, rank int, network, addr string, factory func() 
 		}
 	}
 
-	v := rc.Rank()
-	sphere, err := rankMap.Sphere(v)
-	if err != nil {
-		return err
-	}
 	ctx := &apps.Context{
-		Comm: rc,
-		Ckpt: client,
-		IsWriter: func() bool {
-			for _, q := range sphere {
-				if w.Alive(q) {
-					return q == rank
-				}
-			}
-			return false
-		},
+		Comm:           rc,
+		Ckpt:           client,
+		IsWriter:       rc.IsLead,
 		ComputeDelay:   pf.compute,
 		NoteStep:       func(step int) { _ = w.NoteStep(step) },
 		ShrinkRecovery: shrink,

@@ -149,15 +149,18 @@ type epochResult struct {
 // revive the dead ranks, and release everyone into a fresh epoch that
 // restarts from the peer-replicated checkpoint — the sphere-local
 // partial restart. When recovery is impossible the supervisor aborts the
-// world exactly as the pre-existing full-restart path did. The gate is
-// typed against mpi.Transport, so the same orchestration drives the
+// world exactly as the pre-existing full-restart path did. Under the
+// shrink policy the supervisor only records each sphere death as a
+// shrink episode: every rank runs one epoch with no checkpoint client,
+// and the application repairs the job on the survivors itself. The gate
+// is typed against mpi.Transport, so the same orchestration drives the
 // simulated backend and any other transport hosting every rank
 // in-process.
 type partialGate struct {
 	cfg     Config
+	shrink  bool // RecoverShrink: survive sphere deaths in place, never roll back
 	world   mpi.Transport
 	rankMap *redundancy.RankMap
-	spheres [][]int
 	store   checkpoint.Storage
 	peer    *checkpoint.PeerStore
 	pipe    *checkpoint.Pipeline
@@ -174,6 +177,7 @@ type partialGate struct {
 
 	partials  *obs.Counter // partial_restarts_total (nil unless enabled)
 	fallbacks *obs.Counter // partial_fallbacks_total
+	episodes  *obs.Counter // shrink_episodes_total (nil unless shrink)
 
 	serverWG sync.WaitGroup
 
@@ -187,6 +191,7 @@ type partialGate struct {
 	doneClosed   bool
 
 	partialRestarts int
+	shrinkEpisodes  int
 	fetchAborted    bool
 
 	completedBy    map[int]apps.App
@@ -197,15 +202,15 @@ type partialGate struct {
 }
 
 func newPartialGate(cfg Config, world mpi.Transport, rankMap *redundancy.RankMap,
-	spheres [][]int, store checkpoint.Storage, peer *checkpoint.PeerStore,
+	store checkpoint.Storage, peer *checkpoint.PeerStore,
 	pipe *checkpoint.Pipeline, inj *failure.Injector, jobReg *obs.Registry,
 	acct *stepAccounting, factory func() apps.App,
 ) *partialGate {
 	g := &partialGate{
 		cfg:         cfg,
+		shrink:      cfg.RecoveryPolicy == RecoverShrink,
 		world:       world,
 		rankMap:     rankMap,
-		spheres:     spheres,
 		store:       store,
 		peer:        peer,
 		pipe:        pipe,
@@ -234,6 +239,9 @@ func newPartialGate(cfg Config, world mpi.Transport, rankMap *redundancy.RankMap
 		// see these counters (keeps existing golden snapshots additive).
 		g.partials = jobReg.Counter("partial_restarts_total")
 		g.fallbacks = jobReg.Counter("partial_fallbacks_total")
+	}
+	if g.shrink {
+		g.episodes = jobReg.Counter("shrink_episodes_total")
 	}
 	return g
 }
@@ -303,7 +311,8 @@ func (g *partialGate) driver(p int) {
 
 // runEpoch executes the application once for rank p: fresh interposition
 // layer, fresh checkpoint client (restore happens inside the app), then
-// the app itself.
+// the app itself. Under shrink there is no checkpoint client at all:
+// nothing ever rolls back, so nothing is ever stored or restored.
 func (g *partialGate) runEpoch(p int) epochResult {
 	pc, err := g.world.Endpoint(p)
 	if err != nil {
@@ -313,50 +322,24 @@ func (g *partialGate) runEpoch(p int) epochResult {
 	if err != nil {
 		return epochResult{err: err}
 	}
-	ccfg := checkpoint.Config{
-		Storage: g.store,
-		Obs:     g.jobReg,
-		Trace:   g.cfg.Tracer,
-		Flight:  g.cfg.Recorder,
-	}
-	if g.peer != nil {
-		// Every replica stashes into its own memory shard, so survivors
-		// of a partial restart restore without touching the network.
-		ccfg.Storage = g.peer.View(pc)
-		ccfg.WriteAllReplicas = true
-	}
-	if g.cfg.StepInterval > 0 {
-		ccfg.StepInterval = g.cfg.StepInterval
-		ccfg.SkipBookmark = g.cfg.SkipBookmark
-	}
-	ccfg.Pipeline = g.pipe
 	epoch := g.acct.epoch.Load()
-	client, err := checkpoint.NewClient(rc, ccfg)
-	if err != nil {
-		return epochResult{err: err}
-	}
-	myPhys := pc.Rank()
 	v := rc.Rank()
-	sphere := g.spheres[v]
-	world := g.world
 	inj := g.inj
 	acct := g.acct
 	ctx := &apps.Context{
-		Comm: rc,
-		Ckpt: client,
-		IsWriter: func() bool {
-			for _, q := range sphere {
-				if world.Alive(q) {
-					return q == myPhys
-				}
-			}
-			return false
-		},
+		Comm:         rc,
+		IsWriter:     rc.IsLead,
 		ComputeDelay: g.cfg.ComputeDelay,
 		NoteStep: func(step int) {
 			acct.note(v, step, epoch)
 			acct.maybeFire(step, inj)
 		},
+		ShrinkRecovery: g.shrink,
+	}
+	if !g.shrink {
+		if ctx.Ckpt, err = g.newClient(pc, rc); err != nil {
+			return epochResult{err: err}
+		}
 	}
 	app := g.factory()
 	runErr := app.Run(ctx)
@@ -368,15 +351,33 @@ func (g *partialGate) runEpoch(p int) epochResult {
 		// the drain's barriers surface the usual failure-class errors
 		// and epochEnd treats this rank as a casualty, same as a
 		// mid-checkpoint death.
-		runErr = client.Drain()
+		runErr = ctx.Ckpt.Drain()
 	}
-	return epochResult{
-		app:         app,
-		stats:       rc.Stats(),
-		checkpoints: client.Checkpoints(),
-		restores:    client.Restores(),
-		err:         runErr,
+	res := epochResult{app: app, stats: rc.Stats(), err: runErr}
+	if ctx.Ckpt != nil {
+		res.checkpoints = ctx.Ckpt.Checkpoints()
+		res.restores = ctx.Ckpt.Restores()
 	}
+	return res
+}
+
+// newClient builds rank pc's checkpoint client for one epoch.
+func (g *partialGate) newClient(pc mpi.Comm, rc *redundancy.Comm) (*checkpoint.Client, error) {
+	ccfg := checkpoint.Config{
+		Storage:      g.store,
+		StepInterval: g.cfg.StepInterval,
+		Pipeline:     g.pipe,
+		Obs:          g.jobReg,
+		Trace:        g.cfg.Tracer,
+		Flight:       g.cfg.Recorder,
+	}
+	if g.peer != nil {
+		// Every replica stashes into its own memory shard, so survivors
+		// of a partial restart restore without touching the network.
+		ccfg.Storage = g.peer.View(pc)
+		ccfg.WriteAllReplicas = true
+	}
+	return checkpoint.NewClient(rc, ccfg)
 }
 
 // epochEnd classifies one finished epoch under the gate's lock: exit the
@@ -407,7 +408,10 @@ func (g *partialGate) epochEnd(p int, res epochResult) (rerun bool, release chan
 		g.fetchAborted = true
 		g.world.Abort()
 		return g.exitLocked()
-	case isFailureClass(res.err):
+	case isFailureClass(res.err) && !g.shrink:
+		// Under shrink the survivors repair the job themselves, so an
+		// error from a live rank is the application's, failure-class or
+		// not: it falls through to the default case.
 		if g.recoveryEnabled() {
 			// A sphere is dying around us; park until the supervisor
 			// either recovers in place or aborts for a full restart.
@@ -460,8 +464,9 @@ func (g *partialGate) doneCh() chan struct{} {
 
 // supervise is the attempt's control loop, replacing the old watchdog
 // goroutine: it waits for completion, job failure, or the watchdog
-// timeout, attempting an in-place recovery on job failure before falling
-// back to the abort-and-restart path.
+// timeout. On job failure it records a shrink episode (shrink policy) or
+// attempts an in-place recovery, before falling back to the
+// abort-and-restart path.
 func (g *partialGate) supervise(timeout time.Duration) (jobFailed, timedOut bool) {
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
@@ -482,7 +487,7 @@ func (g *partialGate) supervise(timeout time.Duration) (jobFailed, timedOut bool
 			// which case recovery must reopen the attempt.
 			select {
 			case v := <-failedCh:
-				if g.tryRecover(v) {
+				if g.survive(v) {
 					continue
 				}
 				jobFailed = true
@@ -492,7 +497,7 @@ func (g *partialGate) supervise(timeout time.Duration) (jobFailed, timedOut bool
 			}
 			return jobFailed, timedOut
 		case v := <-failedCh:
-			if g.tryRecover(v) {
+			if g.survive(v) {
 				continue
 			}
 			jobFailed = true
@@ -502,6 +507,21 @@ func (g *partialGate) supervise(timeout time.Duration) (jobFailed, timedOut bool
 			abort()
 		}
 	}
+}
+
+// survive answers the exhaustion of sphere v without tearing the world
+// down; false means the caller must abort for a full restart. Under
+// shrink the death is recorded as a shrink episode and the survivors'
+// own repair carries on.
+func (g *partialGate) survive(v int) bool {
+	if !g.shrink {
+		return g.tryRecover(v)
+	}
+	g.shrinkEpisodes++
+	g.episodes.Inc()
+	g.cfg.Recorder.StartSpan("shrink", -1, v, g.shrinkEpisodes).End()
+	g.cfg.Tracer.Emit("shrink_episode", -1, v, g.shrinkEpisodes, nil)
+	return true
 }
 
 // tryRecover performs a sphere-local partial restart: pause the world,

@@ -4,7 +4,8 @@
 // over the simmpi substrate, schedules coordinated checkpoints at the
 // configured interval, injects Poisson node failures, detects job failure
 // when a whole replica sphere dies (Fig. 7), and restarts from the last
-// committed checkpoint until the application completes.
+// committed checkpoint until the application completes — or, under the
+// shrink policy, lets the survivors repair the job in place.
 package core
 
 import (
@@ -57,8 +58,6 @@ type Config struct {
 	// StepInterval checkpoints every StepInterval application steps;
 	// zero disables checkpointing.
 	StepInterval int
-	// SkipBookmark disables the quiescence verification.
-	SkipBookmark bool
 	// AsyncCheckpoint moves compression and storage writes off the
 	// checkpoint line onto a background worker pool: ranks snapshot
 	// into pooled buffers inside the coordinated region and return to
@@ -135,9 +134,6 @@ type Config struct {
 	MaxRestarts int
 	// AttemptTimeout aborts a wedged attempt; zero means 2 minutes.
 	AttemptTimeout time.Duration
-	// RestartDelay emulates the paper's restart overhead R as a pause
-	// between attempts (optional).
-	RestartDelay time.Duration
 
 	// SendDelay emulates per-physical-message wire latency.
 	SendDelay time.Duration
@@ -351,17 +347,16 @@ func foldRedundancy(reg *obs.Registry, s redundancy.Stats) {
 
 // Run executes the application factory under the configured combined
 // C/R + redundancy regime until completion or until the restart budget
-// is exhausted. factory is invoked once per physical replica per attempt
-// and must return a fresh deterministic application value.
+// is exhausted. Both recovery policies share this one attempt loop;
+// shrink is a policy of the attempt's supervisor (see partialGate).
+// factory is invoked once per physical replica per attempt and must
+// return a fresh deterministic application value.
 func Run(cfg Config, factory func() apps.App) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	if factory == nil {
 		return Result{}, fmt.Errorf("core: nil application factory")
-	}
-	if cfg.RecoveryPolicy == RecoverShrink {
-		return runShrink(cfg, factory)
 	}
 	rankMap, err := redundancy.NewRankMap(cfg.Ranks, cfg.Degree)
 	if err != nil {
@@ -395,12 +390,12 @@ func Run(cfg Config, factory func() apps.App) (Result, error) {
 	// restarts so that recomputation after a full restart counts too.
 	acct := newStepAccounting(rankMap.VirtualSize(), cfg.StepKills, jobReg, cfg.Recorder)
 
+	// Shrink forces MaxRestarts == 0: its single attempt survives sphere
+	// deaths in place or not at all.
+	shrink := cfg.RecoveryPolicy == RecoverShrink
 	res := Result{PhysicalRanks: rankMap.PhysicalSize()}
 	start := time.Now()
 	for attempt := 0; attempt <= cfg.MaxRestarts; attempt++ {
-		if attempt > 0 && cfg.RestartDelay > 0 {
-			time.Sleep(cfg.RestartDelay)
-		}
 		rm.attempts.Inc()
 		if attempt > 0 {
 			rm.restarts.Inc()
@@ -416,6 +411,7 @@ func Run(cfg Config, factory func() apps.App) (Result, error) {
 		res.TotalFailures += at.Failures
 		res.TotalCheckpoints += at.Checkpoints
 		res.PartialRestarts += at.PartialRestarts
+		res.ShrinkEpisodes += at.ShrinkEpisodes
 		res.Restarts = attempt
 		res.Redundancy = redStats
 		rm.attemptMS.Observe(float64(at.Elapsed.Milliseconds()))
@@ -425,13 +421,17 @@ func Run(cfg Config, factory func() apps.App) (Result, error) {
 		if at.TimedOut {
 			rm.timeouts.Inc()
 		}
-		cfg.Tracer.Emit("attempt_end", -1, -1, attempt, map[string]any{
+		end := map[string]any{
 			"job_failed":  at.JobFailed,
 			"timed_out":   at.TimedOut,
 			"failures":    at.Failures,
 			"checkpoints": at.Checkpoints,
 			"restored":    at.Restored,
-		})
+		}
+		if shrink {
+			end["shrink_episodes"] = at.ShrinkEpisodes
+		}
+		cfg.Tracer.Emit("attempt_end", -1, -1, attempt, end)
 
 		succeeded := appErr == nil && !at.JobFailed && !at.TimedOut
 		if succeeded {
@@ -450,9 +450,11 @@ func Run(cfg Config, factory func() apps.App) (Result, error) {
 		case succeeded:
 			res.Completed = true
 			rm.completions.Inc()
-			cfg.Tracer.Emit("run_end", -1, -1, attempt, map[string]any{
-				"completed": true, "restarts": attempt,
-			})
+			end := map[string]any{"completed": true, "restarts": attempt}
+			if shrink {
+				end["shrink_episodes"] = res.ShrinkEpisodes
+			}
+			cfg.Tracer.Emit("run_end", -1, -1, attempt, end)
 			res.Elapsed = time.Since(start)
 			res.CompletedApps = apps
 			res.RecomputedSteps = acct.recomputed.Value()
@@ -575,7 +577,7 @@ func runAttempt(cfg Config, rankMap *redundancy.RankMap, store checkpoint.Storag
 		}
 	}
 
-	g := newPartialGate(cfg, world, rankMap, spheres, store, peer, pipe, inj, jobReg, acct, factory)
+	g := newPartialGate(cfg, world, rankMap, store, peer, pipe, inj, jobReg, acct, factory)
 	g.startServers()
 	if inj != nil {
 		inj.Start()
@@ -613,11 +615,13 @@ func runAttempt(cfg Config, rankMap *redundancy.RankMap, store checkpoint.Storag
 	at.Checkpoints = maxCheckpoints
 	at.Restored = restored
 	at.PartialRestarts = partialRestarts
+	at.ShrinkEpisodes = g.shrinkEpisodes
 
 	// Failure-induced checkpoint errors (a writer died mid-protocol) are
-	// job failures, not application bugs.
+	// job failures, not application bugs. Shrink runs no checkpoint
+	// protocol, so there every error is the application's.
 	appErr := g.firstAppError()
-	if appErr != nil && at.Failures > 0 && isCheckpointCasualty(appErr) {
+	if appErr != nil && !g.shrink && at.Failures > 0 && isCheckpointCasualty(appErr) {
 		at.JobFailed = true
 		appErr = nil
 	}

@@ -85,7 +85,7 @@ type Injector struct {
 	stopped     bool
 	stopCh      chan struct{}
 	doneCh      chan struct{}
-	jobFailed   chan int // sphere index whose last replica died; capacity 1
+	jobFailed   chan int // sphere index whose last replica died; capacity len(spheres)
 	started     bool
 }
 
@@ -125,7 +125,7 @@ func New(target KillTarget, spheres [][]int, cfg Config) (*Injector, error) {
 		deadWords: make([]uint64, (maxPhys+64)/64),
 		stopCh:    make(chan struct{}),
 		doneCh:    make(chan struct{}),
-		jobFailed: make(chan int, 1),
+		jobFailed: make(chan int, len(spheres)),
 	}
 	for i := range inj.sphereOf {
 		inj.sphereOf[i] = -1
@@ -142,8 +142,9 @@ func New(target KillTarget, spheres [][]int, cfg Config) (*Injector, error) {
 	return inj, nil
 }
 
-// JobFailed delivers the virtual rank whose sphere was exhausted; the
-// channel fires at most once per attempt.
+// JobFailed delivers the virtual rank of each sphere that was
+// exhausted. Each sphere is delivered at most once between Rearms, and
+// no event is dropped: events queue until the supervisor reads them.
 func (inj *Injector) JobFailed() <-chan int { return inj.jobFailed }
 
 // Log returns the kills performed so far, in injection order.
@@ -253,7 +254,11 @@ func (inj *Injector) run() {
 // kill performs one fail-stop and updates sphere accounting.
 func (inj *Injector) kill(rank int, at time.Duration) {
 	inj.target.Kill(rank)
+	// The lock spans the event send: Rearm drains under it, so an
+	// exhaustion counted before a Rearm is never delivered after it, and
+	// at most one event per sphere is ever queued — the send never blocks.
 	inj.mu.Lock()
+	defer inj.mu.Unlock()
 	inj.log = append(inj.log, Kill{Rank: rank, After: at})
 	ordinal := int64(len(inj.log))
 	var exhausted = -1
@@ -272,7 +277,6 @@ func (inj *Injector) kill(rank int, at time.Duration) {
 			}
 		}
 	}
-	inj.mu.Unlock()
 	if reg := inj.cfg.Obs; reg != nil {
 		reg.Counter("failure_kills_total").Inc()
 		reg.Counter(fmt.Sprintf("failure_kills_node_%d_total", rank)).Inc()
@@ -291,10 +295,7 @@ func (inj *Injector) kill(rank int, at time.Duration) {
 	inj.cfg.Flight.Emit("kill", rank, sphere, 0, ordinal)
 	if exhausted >= 0 {
 		inj.cfg.Flight.Emit("sphere_exhausted", rank, exhausted, 0, ordinal)
-		select {
-		case inj.jobFailed <- exhausted:
-		default:
-		}
+		inj.jobFailed <- exhausted
 	}
 }
 
@@ -305,14 +306,15 @@ func (inj *Injector) InjectNow(rank int) {
 }
 
 // Rearm resets the sphere accounting after an in-place recovery has
-// revived every dead rank: all spheres return to full strength and any
-// undelivered job-failure event is discarded as stale (it described a
+// revived every dead rank: all spheres return to full strength and every
+// undelivered job-failure event is discarded as stale (each described a
 // sphere that is alive again). The kill log is preserved — Failures()
 // keeps counting across recoveries. Cost is O(kills this epoch): only
 // the dirty spheres and the actually-dead bits are reset, never the full
 // world.
 func (inj *Injector) Rearm() {
 	inj.mu.Lock()
+	defer inj.mu.Unlock()
 	for _, v := range inj.dirtySphere {
 		inj.remaining[v] = len(inj.spheres[v])
 	}
@@ -321,10 +323,12 @@ func (inj *Injector) Rearm() {
 		bitClear(inj.deadWords, r)
 	}
 	inj.deadList = inj.deadList[:0]
-	inj.mu.Unlock()
-	select {
-	case <-inj.jobFailed:
-	default:
+	for {
+		select {
+		case <-inj.jobFailed:
+		default:
+			return
+		}
 	}
 }
 

@@ -83,3 +83,41 @@ func TestReKillOfDeadRankDoesNotDoubleCount(t *testing.T) {
 		t.Fatal("sphere really exhausted but no event")
 	}
 }
+
+// TestExhaustionsQueueUntilRead exhausts two spheres before anyone reads
+// JobFailed: both events must be delivered (a back-to-back second death
+// is a second shrink episode, not a duplicate), and Rearm must then
+// discard every pending event, not just one.
+func TestExhaustionsQueueUntilRead(t *testing.T) {
+	r := &recorder{}
+	inj, err := New(r, [][]int{{0}, {1}, {2}}, Config{Schedule: []Kill{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.Start()
+	defer inj.Stop()
+	inj.InjectNow(0)
+	inj.InjectNow(2)
+	got := map[int]bool{}
+	for i := 0; i < 2; i++ {
+		select {
+		case v := <-inj.JobFailed():
+			got[v] = true
+		default:
+			t.Fatalf("event %d of 2 was dropped (got spheres %v)", i+1, got)
+		}
+	}
+	if !got[0] || !got[2] {
+		t.Fatalf("delivered spheres %v, want 0 and 2", got)
+	}
+
+	inj.Rearm()
+	inj.InjectNow(0)
+	inj.InjectNow(1)
+	inj.Rearm()
+	select {
+	case v := <-inj.JobFailed():
+		t.Fatalf("stale event for sphere %d survived Rearm", v)
+	default:
+	}
+}

@@ -255,6 +255,14 @@ func (c *Comm) Size() int { return c.m.VirtualSize() }
 // ReplicaIndex returns this endpoint's index within its sphere.
 func (c *Comm) ReplicaIndex() int { return c.me.Index }
 
+// IsLead reports whether this endpoint is its sphere's lead replica:
+// the lowest-indexed live one. The lead posts wildcard receives for the
+// sphere and is the replica that persists the rank's checkpoint state;
+// the role moves to the next twin when the lead dies.
+func (c *Comm) IsLead() bool {
+	return c.leaderIndex(c.m.replicas[c.me.Virtual]) == c.me.Index
+}
+
 // Physical returns the underlying physical rank. Layers that key
 // telemetry streams by physical rank (the flight recorder) use this to
 // keep a virtual rank's replicas on distinct streams.

@@ -225,3 +225,51 @@ func TestTwoWildcardChannels(t *testing.T) {
 		t.Fatalf("channel 2 diverged: %v vs %v", got["b0"], got["b1"])
 	}
 }
+
+// TestIsLeadFollowsLowestLiveReplica pins the single writer rule: in
+// every sphere exactly the lowest live replica leads, and the role moves
+// to the next twin when the lead is killed.
+func TestIsLeadFollowsLowestLiveReplica(t *testing.T) {
+	m, err := NewRankMap(2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := simmpi.NewWorld(m.PhysicalSize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	comms := make([]*Comm, m.PhysicalSize())
+	for p := range comms {
+		pc, err := w.Endpoint(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if comms[p], err = Wrap(pc, m, mpi.WithLiveness(w)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sphere1, err := m.Sphere(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(lead1 int) {
+		t.Helper()
+		for _, c := range comms {
+			want := c.ReplicaIndex() == 0
+			if c.Rank() == 1 {
+				want = c.ReplicaIndex() == lead1
+			}
+			if got := c.IsLead(); got != want {
+				t.Errorf("lead1=%d: physical %d (virtual %d, replica %d) IsLead = %v, want %v",
+					lead1, c.Physical(), c.Rank(), c.ReplicaIndex(), got, want)
+			}
+		}
+	}
+	check(0)
+	w.Kill(sphere1[0])
+	check(1)
+	w.Kill(sphere1[1])
+	check(2)
+	w.Kill(sphere1[2])
+	check(-1) // a dead sphere has no lead
+}
