@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -142,17 +143,20 @@ type stateWriter struct {
 }
 
 func (w *stateWriter) uint64(v uint64) {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], v)
-	w.buf = append(w.buf, tmp[:]...)
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
 }
 
 func (w *stateWriter) int(v int) { w.uint64(uint64(int64(v))) }
 
+// float64s writes the length, then the values. The buffer grows once
+// and each value is stored in place.
 func (w *stateWriter) float64s(xs []float64) {
 	w.int(len(xs))
-	for _, x := range xs {
-		w.uint64(math.Float64bits(x))
+	at := len(w.buf)
+	w.buf = slices.Grow(w.buf, 8*len(xs))[:at+8*len(xs)]
+	out := w.buf[at:]
+	for i, x := range xs {
+		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(x))
 	}
 }
 
@@ -186,14 +190,18 @@ func (r *stateReader) float64s() ([]float64, error) {
 		return nil, fmt.Errorf("apps: state declares %d floats, %d bytes left", n, len(r.buf))
 	}
 	xs := make([]float64, n)
-	for i := range xs {
-		v, err := r.uint64()
-		if err != nil {
-			return nil, err
-		}
-		xs[i] = math.Float64frombits(v)
-	}
+	decodeFloats(xs, r.buf)
+	r.buf = r.buf[8*n:]
 	return xs, nil
+}
+
+// decodeFloats fills dst from the little-endian words at the head of src,
+// which must hold at least len(dst) of them.
+func decodeFloats(dst []float64, src []byte) {
+	src = src[:8*len(dst)]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
 }
 
 func (r *stateReader) done() error {

@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -53,7 +52,8 @@ type cgState struct {
 }
 
 func (s *cgState) encode() []byte {
-	var w stateWriter
+	// Six words of counters, lengths and rho, then the three vectors.
+	w := stateWriter{buf: make([]byte, 0, 8*(6+len(s.x)+len(s.r)+len(s.p)))}
 	w.int(s.repeat)
 	w.int(s.iter)
 	w.float64s(s.x)
@@ -140,16 +140,19 @@ func (cg *CG) Run(ctx *Context) error {
 	if repeats <= 0 {
 		repeats = 1
 	}
-	full := make([]float64, 0, n)
+	// The matvec reads only the columns its row block references, so the
+	// assembly decodes only those.
+	clo, chi := cg.Matrix.ColumnSpan(lo, hi)
+	full := make([]float64, n)
 	ap := make([]float64, local)
 	var sendBuf []byte
 	snapshot := func() []byte { return snapshotCG(state) }
 	globalStep := state.repeat*cg.Iterations + state.iter
 	for ; state.repeat < repeats; state.repeat++ {
 		for ; state.iter < cg.Iterations; state.iter++ {
-			// Assemble the full search direction for the matvec.
+			// Assemble the search direction's column window for the matvec.
 			sendBuf = appendEncodedVec(sendBuf[:0], state.p)
-			if gerr := allgatherVec(c, sendBuf, n, &full); gerr != nil {
+			if gerr := allgatherVec(c, sendBuf, clo, chi, full); gerr != nil {
 				return gerr
 			}
 			if merr := cg.Matrix.MulRows(lo, hi, full, ap); merr != nil {
@@ -267,44 +270,62 @@ func decodeVec(buf []byte) ([]float64, error) {
 	return appendDecodedVec(nil, buf)
 }
 
+// vecPayload checks an encodeVec payload's length header against its
+// size and returns the entry count and the encoded entries.
+func vecPayload(buf []byte) (int, []byte, error) {
+	r := stateReader{buf: buf}
+	n, err := r.int()
+	if err != nil {
+		return 0, nil, err
+	}
+	if n < 0 || len(r.buf) != 8*n {
+		return 0, nil, fmt.Errorf("apps: vector declares %d floats in %d bytes", n, len(r.buf))
+	}
+	return n, r.buf, nil
+}
+
 // appendDecodedVec decodes an encodeVec payload straight onto dst,
 // without the intermediate slice decodeVec returns. dst grows once to
 // its final length and the floats are stored in place.
 func appendDecodedVec(dst []float64, buf []byte) ([]float64, error) {
-	r := stateReader{buf: buf}
-	n, err := r.int()
+	n, src, err := vecPayload(buf)
 	if err != nil {
 		return dst, err
 	}
-	if n < 0 || len(r.buf) != 8*n {
-		return dst, fmt.Errorf("apps: vector declares %d floats in %d bytes", n, len(r.buf))
-	}
 	dst = slices.Grow(dst, n)
-	out := dst[len(dst) : len(dst)+n]
-	src := r.buf
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src))
-		src = src[8:]
-	}
+	decodeFloats(dst[len(dst):len(dst)+n], src)
 	return dst[:len(dst)+n], nil
 }
 
 // allgatherVec assembles the distributed vector whose local block is
-// encoded in data into *full (n entries, in rank order), decoding every
-// part straight out of the transport buffers before Allgather releases
-// them.
-func allgatherVec(c mpi.Comm, data []byte, n int, full *[]float64) error {
-	*full = slices.Grow((*full)[:0], n)
+// encoded in data into full (see assembleVec), decoding out of the
+// transport buffers before Allgather releases them.
+func allgatherVec(c mpi.Comm, data []byte, clo, chi int, full []float64) error {
 	return mpi.Allgather(c, data, func(parts [][]byte) error {
-		for _, part := range parts {
-			var err error
-			if *full, err = appendDecodedVec(*full, part); err != nil {
-				return err
-			}
-		}
-		if len(*full) != n {
-			return fmt.Errorf("apps: assembled %d of %d entries", len(*full), n)
-		}
-		return nil
+		return assembleVec(parts, clo, chi, full)
 	})
+}
+
+// assembleVec lays the encoded parts, in rank order, end to end over
+// full (length n), decoding only the column window [clo, chi): entries
+// of full outside it are unspecified. Every part's length header, and
+// their total against n, are still checked, so a malformed part is
+// rejected wherever it lies.
+func assembleVec(parts [][]byte, clo, chi int, full []float64) error {
+	n := len(full)
+	off := 0
+	for _, part := range parts {
+		m, src, err := vecPayload(part)
+		if err != nil {
+			return err
+		}
+		if lo, hi := max(off, clo), min(off+m, chi, n); lo < hi {
+			decodeFloats(full[lo:hi], src[8*(lo-off):])
+		}
+		off += m
+	}
+	if off != n {
+		return fmt.Errorf("apps: assembled %d of %d entries", off, n)
+	}
+	return nil
 }

@@ -148,11 +148,12 @@ func (e *Eigen) cgSolve(ctx *Context, lo, hi int, b []float64) ([]float64, error
 		return nil, err
 	}
 	ap := make([]float64, local)
-	full := make([]float64, 0, n)
+	clo, chi := e.Matrix.ColumnSpan(lo, hi)
+	full := make([]float64, n)
 	var sendBuf []byte
 	for iter := 0; iter < e.InnerIterations && rho > 1e-28; iter++ {
 		sendBuf = appendEncodedVec(sendBuf[:0], p)
-		if err := allgatherVec(c, sendBuf, n, &full); err != nil {
+		if err := allgatherVec(c, sendBuf, clo, chi, full); err != nil {
 			return nil, err
 		}
 		if err := e.Matrix.MulRows(lo, hi, full, ap); err != nil {

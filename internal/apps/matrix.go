@@ -120,11 +120,19 @@ func RowRange(n, rank, ranks int) (lo, hi int) {
 	return lo, hi
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// ColumnSpan returns the half-open range [clo, chi) of the columns that
+// rows [lo, hi) reference: all MulRows(lo, hi, ...) reads of x. A banded
+// matrix gives a narrow window; a block with no entries gives [0, 0).
+func (m *CSRMatrix) ColumnSpan(lo, hi int) (clo, chi int) {
+	clo, chi = m.N, 0
+	for _, col := range m.ColIdx[m.RowPtr[lo]:m.RowPtr[hi]] {
+		clo = min(clo, col)
+		chi = max(chi, col+1)
 	}
-	return b
+	if clo >= chi {
+		return 0, 0
+	}
+	return clo, chi
 }
 
 // MulRows computes y = A[lo:hi) · x for the owned row block against the

@@ -484,16 +484,17 @@ func (g *partialGate) supervise(timeout time.Duration) (jobFailed, timedOut bool
 		case <-g.doneCh():
 			// Give a pending failure event priority over completion: the
 			// last drivers may have drained exactly as a sphere died, in
-			// which case recovery must reopen the attempt.
-			select {
-			case v := <-failedCh:
-				if g.survive(v) {
+			// which case recovery must reopen the attempt. The poll waits
+			// out a kill in flight, so a death the drivers exited over is
+			// never mistaken for completion.
+			if failedCh != nil {
+				if v, ok := g.inj.PollJobFailed(); ok {
+					if !g.survive(v) {
+						jobFailed = true
+						abort()
+					}
 					continue
 				}
-				jobFailed = true
-				abort()
-				continue
-			default:
 			}
 			return jobFailed, timedOut
 		case v := <-failedCh:

@@ -625,7 +625,14 @@ func runAttempt(cfg Config, rankMap *redundancy.RankMap, store checkpoint.Storag
 		at.JobFailed = true
 		appErr = nil
 	}
-	return at, g.completedApps(), redStats, attemptReg.Snapshot(), appErr
+	completed := g.completedApps()
+	if appErr == nil && !at.JobFailed && !at.TimedOut && len(completed) == 0 {
+		// Every driver exited without finishing its app: the ranks died
+		// under it, whether or not an exhaustion event said so. That is
+		// never a success.
+		at.JobFailed = true
+	}
+	return at, completed, redStats, attemptReg.Snapshot(), appErr
 }
 
 // isCheckpointCasualty reports whether the error is a checkpoint-protocol

@@ -10,7 +10,9 @@ import (
 	"repro/internal/apps"
 	"repro/internal/checkpoint"
 	"repro/internal/failure"
+	"repro/internal/mpi"
 	"repro/internal/redundancy"
+	"repro/internal/simmpi"
 )
 
 // cgFactory builds a small deterministic CG job.
@@ -186,6 +188,39 @@ func TestRestartsExhausted(t *testing.T) {
 	}
 	if len(res.Attempts) != 3 {
 		t.Fatalf("attempts = %d, want 3", len(res.Attempts))
+	}
+	for _, at := range res.Attempts {
+		if !at.JobFailed {
+			t.Fatalf("attempt %d not marked failed: %+v", at.Index, at)
+		}
+	}
+}
+
+func TestAttemptWithNoCompletedAppFails(t *testing.T) {
+	// Every rank is dead before its driver starts, and no injector exists
+	// to report a sphere exhaustion: all drivers exit as casualties. Such
+	// an attempt is a job failure, never a success with no app.
+	res, err := Run(Config{
+		Ranks:          2,
+		Degree:         1,
+		MaxRestarts:    1,
+		AttemptTimeout: time.Minute,
+		Transport: func(n int, opts ...mpi.Option) (mpi.Transport, error) {
+			w, err := simmpi.NewWorld(n, opts...)
+			if err != nil {
+				return nil, err
+			}
+			for p := 0; p < n; p++ {
+				w.Kill(p)
+			}
+			return w, nil
+		},
+	}, cgFactory(t, 5, 50))
+	if !errors.Is(err, ErrRestartsExhausted) {
+		t.Fatalf("err = %v, want ErrRestartsExhausted", err)
+	}
+	if res.Completed || len(res.CompletedApps) != 0 {
+		t.Fatalf("completed = %v with %d apps", res.Completed, len(res.CompletedApps))
 	}
 	for _, at := range res.Attempts {
 		if !at.JobFailed {

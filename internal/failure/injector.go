@@ -20,7 +20,8 @@ import (
 // KillTarget is the runtime surface the injector drives; *simmpi.World
 // implements it.
 type KillTarget interface {
-	// Kill fail-stops a physical rank (idempotent).
+	// Kill fail-stops a physical rank (idempotent). It runs under the
+	// injector's lock, so it must not call back into the injector.
 	Kill(rank int)
 }
 
@@ -147,6 +148,21 @@ func New(target KillTarget, spheres [][]int, cfg Config) (*Injector, error) {
 // no event is dropped: events queue until the supervisor reads them.
 func (inj *Injector) JobFailed() <-chan int { return inj.jobFailed }
 
+// PollJobFailed takes one queued exhaustion without blocking. It
+// synchronises with any kill in flight: once a rank's death is
+// observable, the exhaustion it caused is returned here, even if the
+// kill has not finished yet.
+func (inj *Injector) PollJobFailed() (int, bool) {
+	inj.mu.Lock()
+	defer inj.mu.Unlock()
+	select {
+	case v := <-inj.jobFailed:
+		return v, true
+	default:
+		return -1, false
+	}
+}
+
 // Log returns the kills performed so far, in injection order.
 func (inj *Injector) Log() []Kill {
 	inj.mu.Lock()
@@ -253,12 +269,15 @@ func (inj *Injector) run() {
 
 // kill performs one fail-stop and updates sphere accounting.
 func (inj *Injector) kill(rank int, at time.Duration) {
-	inj.target.Kill(rank)
-	// The lock spans the event send: Rearm drains under it, so an
-	// exhaustion counted before a Rearm is never delivered after it, and
-	// at most one event per sphere is ever queued — the send never blocks.
+	// The lock spans the death and the event send. A supervisor that
+	// saw the drivers exit over the death polls under the same lock
+	// (PollJobFailed), so it never misses the exhaustion; Rearm drains
+	// under it, so an exhaustion counted before a Rearm is never
+	// delivered after it; and at most one event per sphere is ever
+	// queued, so the send never blocks.
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
+	inj.target.Kill(rank)
 	inj.log = append(inj.log, Kill{Rank: rank, After: at})
 	ordinal := int64(len(inj.log))
 	var exhausted = -1

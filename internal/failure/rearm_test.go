@@ -121,3 +121,48 @@ func TestExhaustionsQueueUntilRead(t *testing.T) {
 	default:
 	}
 }
+
+// deathProbe is a KillTarget that looks at the injector from the moment
+// a death becomes observable: whether the kill is still inside the
+// injector's critical section, and what a supervisor that saw the death
+// would poll.
+type deathProbe struct {
+	inj      *Injector
+	outside  []int    // ranks killed outside the injector's lock
+	observed chan int // one PollJobFailed result per kill, -1 for none
+}
+
+func (p *deathProbe) Kill(rank int) {
+	if p.inj.mu.TryLock() {
+		p.inj.mu.Unlock()
+		p.outside = append(p.outside, rank)
+	}
+	go func() {
+		v, ok := p.inj.PollJobFailed()
+		if !ok {
+			v = -1
+		}
+		p.observed <- v
+	}()
+}
+
+func TestExhaustionVisibleOnceDeathIs(t *testing.T) {
+	// A supervisor that sees the drivers exit over a death must find the
+	// sphere exhaustion that death caused. Otherwise it reads the drained
+	// attempt as a completion.
+	probe := &deathProbe{observed: make(chan int, 4)}
+	inj, err := New(probe, [][]int{{0}, {1, 2}}, Config{Schedule: []Kill{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe.inj = inj
+	for _, k := range []struct{ rank, want int }{{0, 0}, {1, -1}, {2, 1}} {
+		inj.InjectNow(k.rank)
+		if got := <-probe.observed; got != k.want {
+			t.Errorf("kill of rank %d: poll after the death = %d, want %d", k.rank, got, k.want)
+		}
+	}
+	if len(probe.outside) != 0 {
+		t.Errorf("ranks %v killed outside the injector's lock", probe.outside)
+	}
+}
