@@ -283,12 +283,70 @@ func benchPeerCommit(b *testing.B, k, m int, settleEachGen bool) {
 	b.ReportMetric(float64(resident), "resident-bytes")
 }
 
+// floatImage returns size bytes of smooth float64 state, about one CG
+// rank's snapshot at size 40 KiB; phase tells ranks' images apart.
+func floatImage(size, phase int) []byte {
+	state := make([]byte, 0, size)
+	for i := 0; len(state) < cap(state); i++ {
+		state = binary.LittleEndian.AppendUint64(state, math.Float64bits(math.Sin(float64(i+phase)/64)))
+	}
+	return state
+}
+
+// BenchmarkStableCheckpoint measures one steady-state sync checkpoint
+// on the stable tier as the cg-cr job benchmark takes it: 8 ranks write
+// their ~40 KiB images concurrently through CompressedStorage over a
+// FileStorage directory, then one Commit. Warm-up generations run
+// first, so each op recycles the files of a retired generation.
+func BenchmarkStableCheckpoint(b *testing.B) {
+	const ranks, warm = 8, 4
+	fs, err := NewFileStorage(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := NewCompressedStorage(fs)
+	images := make([][]byte, ranks)
+	for r := range images {
+		images[r] = floatImage(40<<10, 1000*r)
+	}
+	errs := make([]error, ranks)
+	gen := uint64(0)
+	checkpoint := func() {
+		gen++
+		var wg sync.WaitGroup
+		for r := range images {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				errs[r] = s.Write(gen, r, images[r])
+			}(r)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := s.Commit(gen, ranks); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < warm; i++ {
+		checkpoint()
+	}
+	b.SetBytes(int64(ranks * len(images[0])))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		checkpoint()
+	}
+}
+
 // BenchmarkStableRestore measures one rank's restore from the stable
 // tier as the cg-cr job benchmark does it: Latest, then Read of the
 // rank's image, through CompressedStorage over a FileStorage directory
-// that already holds 40 committed generations (a 400-step job
-// checkpointing every 10 steps). The image is ~40 KiB of smooth float64
-// state, about one CG rank's snapshot.
+// after 40 committed generations (a 400-step job checkpointing every 10
+// steps), of which the directory keeps the newest two.
 func BenchmarkStableRestore(b *testing.B) {
 	const gens = 40
 	fs, err := NewFileStorage(b.TempDir())
@@ -296,10 +354,7 @@ func BenchmarkStableRestore(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := NewCompressedStorage(fs)
-	state := make([]byte, 0, 40<<10)
-	for i := 0; len(state) < cap(state); i++ {
-		state = binary.LittleEndian.AppendUint64(state, math.Float64bits(math.Sin(float64(i)/64)))
-	}
+	state := floatImage(40<<10, 0)
 	for g := uint64(1); g <= gens; g++ {
 		if err := s.Write(g, 0, state); err != nil {
 			b.Fatal(err)

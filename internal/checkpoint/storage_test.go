@@ -7,6 +7,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -418,6 +419,9 @@ func TestFileStorageReadsRaceNewerCommits(t *testing.T) {
 	// Restores read through their own handle while the job's writer
 	// publishes newer generations: Latest must only ever name a whole
 	// generation, and Read of it must return that generation's image.
+	// The store keeps two committed generations, so a Read may fail,
+	// but only once a fresh Latest is two commits past the generation
+	// it asked for, and never with another image's bytes.
 	dir := t.TempDir()
 	writer, err := NewFileStorage(dir)
 	if err != nil {
@@ -448,6 +452,7 @@ func TestFileStorageReadsRaceNewerCommits(t *testing.T) {
 		}
 	}()
 	var wg sync.WaitGroup
+	var reads atomic.Int64
 	for r := 0; r < ranks; r++ {
 		wg.Add(1)
 		go func(rank int) {
@@ -473,11 +478,19 @@ func TestFileStorageReadsRaceNewerCommits(t *testing.T) {
 					continue // the seed generation has one rank
 				}
 				got, err := reader.Read(gen, rank)
-				if err != nil || n != ranks || !bytes.Equal(got, image(gen, rank)) {
-					t.Errorf("gen %d rank %d: n=%d err=%v, image mismatch=%v",
-						gen, rank, n, err, !bytes.Equal(got, image(gen, rank)))
+				if err != nil {
+					fresh, _, _, lerr := reader.Latest()
+					if lerr != nil || fresh < gen+2 {
+						t.Errorf("gen %d rank %d: %v while Latest = %d, %v", gen, rank, err, fresh, lerr)
+						return
+					}
+					continue
+				}
+				if n != ranks || !bytes.Equal(got, image(gen, rank)) {
+					t.Errorf("gen %d rank %d: n=%d, image mismatch", gen, rank, n)
 					return
 				}
+				reads.Add(1)
 			}
 		}(r)
 	}
@@ -486,7 +499,61 @@ func TestFileStorageReadsRaceNewerCommits(t *testing.T) {
 	if writeErr != nil {
 		t.Fatal(writeErr)
 	}
+	if reads.Load() == 0 {
+		t.Fatal("no Read succeeded")
+	}
 	if gen, _, _, err := reader.Latest(); err != nil || gen != gens {
 		t.Fatalf("final Latest = %d, %v; want %d", gen, err, gens)
+	}
+}
+
+func TestFileStorageReadRejectsBadImages(t *testing.T) {
+	// A committed generation whose image file is truncated, bit-flipped
+	// or holds another (gen, rank)'s image must fail Read with
+	// ErrNoCheckpoint rather than return the file's bytes.
+	dir := t.TempDir()
+	s, err := NewFileStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ranks = 4
+	for gen := uint64(1); gen <= 2; gen++ {
+		for r := 0; r < ranks; r++ {
+			if err := s.Write(gen, r, bytes.Repeat([]byte{byte(gen), byte(r)}, 300)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Commit(gen, ranks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := func(gen uint64, rank int) string { return fmt.Sprintf("%s/gen-%d/rank-%d.ckpt", dir, gen, rank) }
+	read := func(gen uint64, rank int) []byte {
+		raw, err := os.ReadFile(path(gen, rank))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	flipped := read(2, 1)
+	flipped[len(flipped)-7] ^= 0x10
+	bad := [ranks][]byte{
+		read(2, 0)[:300], // truncated
+		flipped,          // one payload bit flipped
+		read(1, 2),       // gen 1's image of the same rank
+		read(2, 1),       // another rank's image of the same gen
+	}
+	for r, img := range bad {
+		if err := writeFileHelper(path(2, r), img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r := 0; r < ranks; r++ {
+		if got, err := s.Read(2, r); !errors.Is(err, ErrNoCheckpoint) {
+			t.Errorf("rank %d: Read = %d bytes, %v; want ErrNoCheckpoint", r, len(got), err)
+		}
+	}
+	if got, err := s.Read(1, 1); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{1, 1}, 300)) {
+		t.Fatalf("intact image: %d bytes, %v", len(got), err)
 	}
 }
