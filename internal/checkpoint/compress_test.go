@@ -90,6 +90,39 @@ func TestCompressedSingleBitFlipIsAnError(t *testing.T) {
 	}
 }
 
+// TestCompressedEveryBitFlipIsAnError flips each bit of a stored
+// single-stream image in turn. The image is a run of one byte value, so
+// many flips inside the stream still decode to the original image; the
+// checksum must reject those too.
+func TestCompressedEveryBitFlipIsAnError(t *testing.T) {
+	inner := NewMemStorage()
+	s := NewCompressedStorage(inner)
+	state := bytes.Repeat([]byte{0xAB}, 4096)
+	if err := s.Write(1, 0, state); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := inner.Read(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range stored {
+		for bit := 0; bit < 8; bit++ {
+			flipped := bytes.Clone(stored)
+			flipped[i] ^= 1 << bit
+			if err := inner.Write(1, 0, flipped); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := s.Read(1, 0); err == nil {
+				t.Fatalf("flip of byte %d bit %d decoded to %d bytes with nil error (intact: %v)",
+					i, bit, len(got), bytes.Equal(got, state))
+			}
+		}
+	}
+}
+
 func TestCompressedReadPropagatesInnerErrors(t *testing.T) {
 	s := NewCompressedStorage(NewMemStorage())
 	if _, err := s.Read(9, 0); err == nil {
@@ -99,7 +132,7 @@ func TestCompressedReadPropagatesInnerErrors(t *testing.T) {
 
 // Sharded-layout coverage. The container must round-trip, interoperate
 // with the single-stream layout in both directions, and fail loudly on
-// corruption — same bar as the legacy paths above.
+// corruption — same bar as the single-stream paths above.
 
 // shardedTestState builds a compressible-but-not-trivial image.
 func shardedTestState(n int) []byte {

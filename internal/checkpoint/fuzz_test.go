@@ -25,7 +25,7 @@ func fuzzContainer(t testing.TB, state []byte, shards, chunkSize int) []byte {
 }
 
 // FuzzShardedFrameDecode drives CompressedStorage.Read's layout
-// autodetect path (sharded container vs legacy single stream) with
+// autodetect path (sharded container vs checksummed single stream) with
 // arbitrary stored payloads. The decoder must never panic and never
 // trust header-claimed sizes: a crafted rawSize/chunkSize/nChunks far
 // beyond what the present bytes could inflate to must be rejected
@@ -49,7 +49,7 @@ func FuzzShardedFrameDecode(f *testing.F) {
 		incompressible[i] = byte(x)
 	}
 	seeds := [][]byte{
-		fuzzContainer(f, patterned, 1, 0),           // legacy single stream
+		fuzzContainer(f, patterned, 1, 0),           // single stream
 		fuzzContainer(f, patterned, 4, 1024),        // 8 even chunks
 		fuzzContainer(f, patterned[:5000], 4, 1024), // ragged tail chunk
 		fuzzContainer(f, []byte{42}, 4, 1024),       // below one chunk: single stream
