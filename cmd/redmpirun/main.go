@@ -95,10 +95,9 @@ func run(args []string) error {
 		partialR = fs.Bool("partial-restart", false, "recover sphere deaths in place from the peer tier (requires -peer-shards and -interval)")
 
 		metricsF = fs.String("metrics", "", "write the job metrics snapshot as JSON to this file and print the rendered table")
-		traceF   = fs.String("trace", "", "write the structured event trace as JSONL to this file")
 		obsAddr  = fs.String("obs-addr", "", "serve live introspection (/metrics, /healthz, /ranks, /timeline) on this address for the run's duration")
-		flightF  = fs.String("flight", "", "write the flight recorder's black box as JSONL to this file at exit (success or failure)")
-		flightC  = fs.Int("flight-cap", obs.DefaultFlightCap, "per-rank flight-recorder ring capacity")
+		flightF  = fs.String("flight", "", "write the flight recorder's event stream as JSONL to this file at exit (success or failure): each rank's last -flight-cap records")
+		flightC  = fs.Int("flight-cap", obs.DefaultFlightCap, "per-rank flight-recorder ring capacity (raise it until the dump reports nothing overwritten for a whole-run log)")
 		flightCk = fs.String("flight-clock", "logical", "flight-recorder clock: logical (deterministic) | mono (wall-time phase durations)")
 		pprofA   = fs.String("pprof", "", "serve net/http/pprof on this address for the run's duration")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -222,16 +221,6 @@ func run(args []string) error {
 
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
-	var tracer *obs.Tracer
-	var traceFile *os.File
-	if *traceF != "" {
-		traceFile, err = os.Create(*traceF)
-		if err != nil {
-			return err
-		}
-		tracer = obs.NewTracer(traceFile)
-		cfg.Tracer = tracer
-	}
 	if *flightCk != "logical" && *flightCk != "mono" {
 		return fmt.Errorf("unknown -flight-clock %q (logical | mono)", *flightCk)
 	}
@@ -292,15 +281,7 @@ func run(args []string) error {
 		*appName, *np, *degree, mustPhysical(*np, *degree))
 	if *transport == "proc" {
 		pf.schedule = cfg.FailureSchedule
-		runErr := runProcJob(pf, reg, rec, tracer, cfg.RankView)
-		if tracer != nil {
-			if err := tracer.Close(); err != nil {
-				return fmt.Errorf("writing trace: %w", err)
-			}
-			if err := traceFile.Close(); err != nil {
-				return err
-			}
-		}
+		runErr := runProcJob(pf, reg, rec, cfg.RankView)
 		if *metricsF != "" {
 			snap := reg.Snapshot()
 			if err := writeMetrics(*metricsF, snap); err != nil {
@@ -334,14 +315,6 @@ func run(args []string) error {
 	fmt.Printf("redundancy layer: %d physical sends, %d deliveries, %d mismatches, %d corrections\n",
 		res.Redundancy.PhysicalSends, res.Redundancy.Deliveries,
 		res.Redundancy.Mismatches, res.Redundancy.Corrections)
-	if tracer != nil {
-		if err := tracer.Close(); err != nil {
-			return fmt.Errorf("writing trace: %w", err)
-		}
-		if err := traceFile.Close(); err != nil {
-			return err
-		}
-	}
 	if *metricsF != "" {
 		if err := writeMetrics(*metricsF, res.Metrics); err != nil {
 			return err
@@ -364,7 +337,9 @@ func run(args []string) error {
 	return nil
 }
 
-// writeFlight dumps the flight recorder's retained records as JSONL.
+// writeFlight dumps the flight recorder's retained records as JSONL. A
+// dump whose rings overwrote older records says so on stderr, so one
+// meant as a whole-run log is never silently partial.
 func writeFlight(path string, rec *obs.Recorder) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -373,6 +348,10 @@ func writeFlight(path string, rec *obs.Recorder) error {
 	if err := rec.WriteJSONL(f); err != nil {
 		f.Close()
 		return fmt.Errorf("writing flight dump: %w", err)
+	}
+	if n := rec.Dropped(); n > 0 {
+		fmt.Fprintf(os.Stderr, "redmpirun: flight dump %s is truncated: %d older records overwritten; raise -flight-cap (now %d) to keep the whole run\n",
+			path, n, rec.Cap())
 	}
 	return f.Close()
 }

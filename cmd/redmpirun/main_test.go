@@ -83,53 +83,102 @@ func TestGoldenMetricsSnapshot(t *testing.T) {
 	}
 }
 
-// TestTraceOutputParsesAndIsOrdered checks the JSONL trace file: every
-// line is a JSON event, and events are sorted by (rank, seq).
-func TestTraceOutputParsesAndIsOrdered(t *testing.T) {
-	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
+// TestFlightOutputParsesAndIsOrdered checks the -flight dump as a
+// whole-run log: every line is a JSON record, records are sorted by
+// (rank, seq), and a cap large enough for the run keeps every kind the
+// forced restart produces, from the first attempt's kills to run_end.
+func TestFlightOutputParsesAndIsOrdered(t *testing.T) {
+	flightPath := filepath.Join(t.TempDir(), "flight.jsonl")
 	args := []string{
 		"-app", "cg", "-np", "4", "-r", "2",
 		"-grid", "6", "-iters", "30",
 		"-interval", "10", "-compute", "2ms",
 		"-max-restarts", "3",
 		"-kill", "2,3", "-kill-once",
-		"-trace", tracePath,
+		"-flight", flightPath, "-flight-cap", "65536",
 	}
-	if err := run(args); err != nil {
-		t.Fatalf("run(%v): %v", args, err)
+	var runErr error
+	stderr := captureStderr(t, func() { runErr = run(args) })
+	if runErr != nil {
+		t.Fatalf("run(%v): %v", args, runErr)
 	}
-	data, err := os.ReadFile(tracePath)
+	if strings.Contains(stderr, "truncated") {
+		t.Fatalf("whole-run dump reported truncation: %q", stderr)
+	}
+	data, err := os.ReadFile(flightPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) < 3 {
-		t.Fatalf("trace has %d events, want at least attempt/kill/commit activity", len(lines))
-	}
-	var events []obs.Event
+	var recs []obs.Record
 	for i, line := range lines {
-		var ev obs.Event
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("trace line %d is not JSON: %v", i, err)
+		var r obs.Record
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatalf("flight line %d is not JSON: %v", i, err)
 		}
-		events = append(events, ev)
+		recs = append(recs, r)
 	}
 	kinds := map[string]bool{}
-	for i, ev := range events {
-		kinds[ev.Kind] = true
+	for i, r := range recs {
+		kinds[r.Kind+r.Ev] = true
+		if r.Kind == "run_end" && r.Arg != 1 {
+			t.Errorf("run_end arg = %d, want 1 for a completed job", r.Arg)
+		}
 		if i == 0 {
 			continue
 		}
-		prev := events[i-1]
-		if ev.Rank < prev.Rank || (ev.Rank == prev.Rank && ev.Seq <= prev.Seq) {
-			t.Errorf("events out of order at line %d: %+v after %+v", i, ev, prev)
+		prev := recs[i-1]
+		if r.Rank < prev.Rank || (r.Rank == prev.Rank && r.Seq <= prev.Seq) {
+			t.Errorf("records out of order at line %d: %+v after %+v", i, r, prev)
 		}
 	}
-	for _, want := range []string{"attempt_start", "attempt_end", "kill", "ckpt_commit", "run_end"} {
+	for _, want := range []string{"attempt" + obs.EvBegin, "attempt" + obs.EvEnd,
+		"kill", "job_failed", "ckpt_commit", "run_end"} {
 		if !kinds[want] {
-			t.Errorf("trace missing %q events (saw %v)", want, kinds)
+			t.Errorf("flight dump missing %q records (saw %v)", want, kinds)
 		}
 	}
+}
+
+// TestFlightTruncationIsReported: a ring too small for the run still
+// dumps, and says how many records it overwrote and which flag to raise.
+func TestFlightTruncationIsReported(t *testing.T) {
+	flightPath := filepath.Join(t.TempDir(), "flight.jsonl")
+	args := []string{
+		"-app", "cg", "-np", "2", "-r", "1", "-grid", "4", "-iters", "10",
+		"-compute", "0s", "-flight", flightPath, "-flight-cap", "4",
+	}
+	var runErr error
+	stderr := captureStderr(t, func() { runErr = run(args) })
+	if runErr != nil {
+		t.Fatalf("run(%v): %v", args, runErr)
+	}
+	if !strings.Contains(stderr, "truncated") || !strings.Contains(stderr, "raise -flight-cap (now 4)") {
+		t.Fatalf("stderr %q does not report the truncated dump", stderr)
+	}
+	if n := strings.Count(stderr, "\n"); n != 1 {
+		t.Fatalf("stderr has %d lines, want 1: %q", n, stderr)
+	}
+}
+
+// captureStderr runs fn with os.Stderr redirected to a file and returns
+// what fn wrote there.
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	defer func() { os.Stderr = saved }()
+	fn()
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }
 
 func TestParseKillList(t *testing.T) {

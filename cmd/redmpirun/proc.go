@@ -116,7 +116,7 @@ func (pf procFlags) workerArgs(rank int, network, addr string) []string {
 // process per physical rank and drive the procmpi attempt loop. reg and
 // rec may be nil-equivalent (fresh registry, nil recorder) — they are
 // the same objects the -metrics and -flight flags dump.
-func runProcJob(pf procFlags, reg *obs.Registry, rec *obs.Recorder, tracer *obs.Tracer, rankView func(obs.RankView)) error {
+func runProcJob(pf procFlags, reg *obs.Registry, rec *obs.Recorder, rankView func(obs.RankView)) error {
 	if err := pf.validate(); err != nil {
 		return err
 	}
@@ -164,7 +164,6 @@ func runProcJob(pf procFlags, reg *obs.Registry, rec *obs.Recorder, tracer *obs.
 		Seed:           pf.seed,
 		Obs:            reg,
 		Flight:         rec,
-		Tracer:         tracer,
 		Spawn: func(rank int, network, addr string) (*os.Process, error) {
 			cmd := exec.Command(exe, pf.workerArgs(rank, network, addr)...)
 			cmd.Stderr = os.Stderr

@@ -1,5 +1,6 @@
-// Command redreport analyzes a flight-recorder black box (redmpirun
-// -flight) or a structured trace (redmpirun -trace) and prints the
+// Command redreport analyzes a flight-recorder dump (redmpirun -flight:
+// the job's one event stream, a black box of each rank's last records
+// or, with a large enough -flight-cap, the whole run) and prints the
 // failure-forensics critical path: which recovery phases the run spent
 // its time in, which rank was slowest in each, how many recovery
 // episodes happened and what each cost, and how much rework (recomputed
@@ -32,6 +33,8 @@ import (
 	"strings"
 	"text/tabwriter"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func main() {
@@ -39,20 +42,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "redreport:", err)
 		os.Exit(1)
 	}
-}
-
-// record is the superset of the flight Record and the Tracer Event JSONL
-// shapes, so redreport ingests either file kind (trace events carry no
-// ev/ns/arg and parse as point records).
-type record struct {
-	Seq    uint64 `json:"seq"`
-	Nanos  int64  `json:"ns"`
-	Kind   string `json:"kind"`
-	Ev     string `json:"ev"`
-	Rank   int    `json:"rank"`
-	Sphere int    `json:"sphere"`
-	Step   int    `json:"step"`
-	Arg    int64  `json:"arg"`
 }
 
 // span is one paired B/E interval. In mono dumps start/length are
@@ -85,7 +74,7 @@ func run(args []string, stdout io.Writer) error {
 		return errors.New("no input files")
 	}
 
-	var recs []record
+	var recs []obs.Record
 	for _, path := range fs.Args() {
 		part, err := readDump(path)
 		if err != nil {
@@ -121,13 +110,13 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-func readDump(path string) ([]record, error) {
+func readDump(path string) ([]obs.Record, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var out []record
+	var out []obs.Record
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	line := 0
@@ -137,7 +126,7 @@ func readDump(path string) ([]record, error) {
 		if text == "" {
 			continue
 		}
-		var r record
+		var r obs.Record
 		if err := json.Unmarshal([]byte(text), &r); err != nil {
 			return nil, fmt.Errorf("%s:%d: %w", path, line, err)
 		}
@@ -154,18 +143,18 @@ func readDump(path string) ([]record, error) {
 // a rank; that is how every call site emits them). A B whose E was
 // overwritten by the ring — or never emitted because the run died inside
 // the phase — is returned in unpaired.
-func pairSpans(recs []record, mono bool) (spans []span, unpaired []record) {
+func pairSpans(recs []obs.Record, mono bool) (spans []span, unpaired []obs.Record) {
 	type key struct {
 		rank int
 		kind string
 	}
-	open := make(map[key][]record)
+	open := make(map[key][]obs.Record)
 	var keys []key
 	for _, r := range recs {
 		if r.Ev != "B" && r.Ev != "E" {
 			continue
 		}
-		k := key{r.Rank, r.Kind}
+		k := key{int(r.Rank), r.Kind}
 		if r.Ev == "B" {
 			if _, seen := open[k]; !seen {
 				keys = append(keys, k)
@@ -182,7 +171,7 @@ func pairSpans(recs []record, mono bool) (spans []span, unpaired []record) {
 		}
 		b := stack[len(stack)-1]
 		open[k] = stack[:len(stack)-1]
-		sp := span{Kind: r.Kind, Rank: r.Rank, Sphere: b.Sphere, Step: b.Step}
+		sp := span{Kind: r.Kind, Rank: int(r.Rank), Sphere: int(b.Sphere), Step: int(b.Step)}
 		if mono {
 			sp.Start = b.Nanos
 			sp.Length = r.Nanos - b.Nanos
@@ -213,8 +202,8 @@ type phaseStat struct {
 	maxRank int
 }
 
-func report(w io.Writer, recs []record, spans []span, unpaired []record, mono bool, top int) {
-	ranks := make(map[int]bool)
+func report(w io.Writer, recs []obs.Record, spans []span, unpaired []obs.Record, mono bool, top int) {
+	ranks := make(map[int32]bool)
 	points := make(map[string]int)
 	for _, r := range recs {
 		ranks[r.Rank] = true
@@ -305,7 +294,7 @@ func report(w io.Writer, recs []record, spans []span, unpaired []record, mono bo
 // runner emits "recovery" spans on rank -1 with step = episode ordinal,
 // tiled by recovery_drain / recovery_revive / recovery_resume children
 // carrying the same (sphere, step).
-func reportRecoveries(w io.Writer, recs []record, spans []span, mono bool) {
+func reportRecoveries(w io.Writer, recs []obs.Record, spans []span, mono bool) {
 	type epKey struct{ sphere, step int }
 	type episode struct {
 		total  int64
@@ -355,7 +344,7 @@ func reportRecoveries(w io.Writer, recs []record, spans []span, mono bool) {
 			// precedes the recovery's begin.
 			var trigger int64 = -1
 			for _, r := range recs {
-				if r.Kind == "sphere_exhausted" && r.Sphere == k.sphere &&
+				if r.Kind == "sphere_exhausted" && int(r.Sphere) == k.sphere &&
 					r.Nanos <= ep.start && r.Nanos > trigger {
 					trigger = r.Nanos
 				}
@@ -392,7 +381,7 @@ type traceEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-func writePerfetto(path string, recs []record, spans []span, mono bool) error {
+func writePerfetto(path string, recs []obs.Record, spans []span, mono bool) error {
 	scale := 1.0 / 1e3 // ns → µs
 	if !mono {
 		scale = 1.0 // 1 event = 1 µs of ordinal time
@@ -414,7 +403,7 @@ func writePerfetto(path string, recs []record, spans []span, mono bool) error {
 			ts = float64(r.Seq)
 		}
 		evs = append(evs, traceEvent{
-			Name: r.Kind, Ph: "i", Pid: 0, Tid: r.Rank, Ts: ts, S: "t",
+			Name: r.Kind, Ph: "i", Pid: 0, Tid: int(r.Rank), Ts: ts, S: "t",
 			Args: map[string]any{"sphere": r.Sphere, "step": r.Step, "arg": r.Arg},
 		})
 	}

@@ -234,10 +234,7 @@ func (cl *Client) commitPending(lead bool) error {
 			return fmt.Errorf("checkpoint commit gen %d: %w", cl.pendingGen, err)
 		}
 		cl.met.committed.Inc()
-		cl.cfg.Trace.Emit("ckpt_commit", 0, -1, int(cl.pendingGen), map[string]any{
-			"ranks": cl.comm.Size(),
-			"async": true,
-		})
+		cl.cfg.Flight.Emit("ckpt_commit", cl.flightRank, -1, int(cl.pendingGen), int64(cl.comm.Size()))
 	}
 	cl.hasPending = false
 	return nil

@@ -53,15 +53,15 @@ type Config struct {
 	// attempted/committed, bytes written, bookmark retries, quiescence
 	// failures, restores). Clients of one job should share a registry.
 	Obs *obs.Registry
-	// Trace, when non-nil, receives commit/restore/retry events. Only
-	// the writer replica of each rank emits, so each virtual rank owns
-	// one deterministic event stream.
-	Trace *obs.Tracer
 	// Flight, when non-nil, receives fixed-size recovery-phase spans
-	// ("restore", "pipeline_drain"). The stream is the comm's physical
-	// rank when the comm exposes one (redundancy-wrapped endpoints), so
-	// a virtual rank's replicas never interleave on one stream; plain
-	// comms use their own rank.
+	// ("restore", "pipeline_drain"), a "restored" record per restore
+	// (step = generation, arg = image bytes), and from the committing
+	// replica of rank 0 a "ckpt_commit" per generation (step =
+	// generation, arg = ranks) and a "bookmark_retry" per quiescence
+	// retry (step = generation, arg = retry number). The stream is the
+	// comm's physical rank when the comm exposes one (redundancy-wrapped
+	// endpoints), so a virtual rank's replicas never interleave on one
+	// stream; plain comms use their own rank.
 	Flight *obs.Recorder
 }
 
@@ -91,7 +91,7 @@ type Client struct {
 	hasPending bool
 	wasWriter  bool
 
-	// flightRank is the black-box stream Restore/Drain spans land on:
+	// flightRank is the black-box stream this client's records land on:
 	// the physical rank for redundancy-wrapped comms, comm.Rank()
 	// otherwise.
 	flightRank int
@@ -254,9 +254,7 @@ func (cl *Client) checkpointSync(state []byte, writer, lead bool) error {
 			return fmt.Errorf("checkpoint commit: %w", err)
 		}
 		cl.met.committed.Inc()
-		cl.cfg.Trace.Emit("ckpt_commit", 0, -1, int(gen), map[string]any{
-			"ranks": cl.comm.Size(),
-		})
+		cl.cfg.Flight.Emit("ckpt_commit", cl.flightRank, -1, int(gen), int64(cl.comm.Size()))
 	}
 	// Final barrier so no rank races ahead and checkpoints generation
 	// gen+1 before gen is committed.
@@ -302,9 +300,7 @@ func (cl *Client) bookmarkExchange(lead bool) error {
 	for attempt := 0; attempt < cl.cfg.BookmarkRetries; attempt++ {
 		if attempt > 0 && lead {
 			cl.met.retries.Inc()
-			cl.cfg.Trace.Emit("bookmark_retry", 0, -1, int(cl.gen), map[string]any{
-				"attempt": attempt,
-			})
+			cl.cfg.Flight.Emit("bookmark_retry", cl.flightRank, -1, int(cl.gen), int64(attempt))
 		}
 		// Snapshot both counters before exchanging anything, then ship
 		// them in a single allgather: the exchange's own traffic must not
@@ -411,9 +407,7 @@ func (cl *Client) Restore() (state []byte, ok bool, err error) {
 	// Counted per process: under redundancy every replica restores, so
 	// the total is physical-rank restores, not virtual-rank restores.
 	cl.met.restores.Inc()
-	cl.cfg.Trace.Emit("restore", cl.comm.Rank(), -1, int(gen), map[string]any{
-		"bytes": len(state),
-	})
+	cl.cfg.Flight.Emit("restored", cl.flightRank, -1, int(gen), int64(len(state)))
 	return state, true, nil
 }
 

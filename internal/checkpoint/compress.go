@@ -148,19 +148,22 @@ type CompressedStorage struct {
 // small enough that typical rank images split across several workers.
 const DefaultChunkSize = 256 * 1024
 
-// shardMagic opens the sharded container.
-var shardMagic = [4]byte{0xD7, 'C', 'K', 'S'}
-
-// sumMagic opens the single-stream layout:
+// Both layouts open with a magic naming the layout and a checksum of
+// the body that follows:
 //
-//	magic(4) | CRC-32C of the DEFLATE stream (4, little-endian) | stream
+//	magic(4) | CRC-32C of the body (4, little-endian) | body
 //
-// The checksum covers the stored bytes, not the raw image: flate decodes
+// The single-stream body (sumMagic) is one DEFLATE stream; the sharded
+// body (shardMagic) is the chunk container writeSharded describes. The
+// checksum covers the stored bytes, not the raw image: flate decodes
 // many flipped streams without complaint (in a run of one byte value,
 // every distance code copies the same bytes), and a flipped stored image
 // is a fault of the medium that Read reports even when the flip happened
 // to leave the image intact.
-var sumMagic = [4]byte{0xD7, 'C', 'K', 'D'}
+var (
+	sumMagic   = [4]byte{0xD7, 'C', 'K', 'D'}
+	shardMagic = [4]byte{0xD7, 'C', 'K', 'S'}
+)
 
 const sumHeaderLen = len(sumMagic) + 4
 
@@ -192,9 +195,10 @@ func (s *CompressedStorage) Write(gen uint64, rank int, state []byte) error {
 }
 
 // writeSharded compresses fixed-size chunks of state in parallel and
-// frames them in the self-describing sharded container:
+// frames them in the self-describing sharded container, the body of the
+// shardMagic layout:
 //
-//	magic(4) | uvarint rawSize | uvarint chunkSize | uvarint nChunks |
+//	uvarint rawSize | uvarint chunkSize | uvarint nChunks |
 //	nChunks × (uvarint frameLen | frameLen bytes of DEFLATE)
 //
 // Chunk i covers raw bytes [i·chunkSize, min((i+1)·chunkSize, rawSize)).
@@ -232,8 +236,8 @@ func (s *CompressedStorage) writeSharded(gen uint64, rank int, state []byte, chu
 			return err
 		}
 	}
-	out := make([]byte, 0, len(shardMagic)+3*binary.MaxVarintLen64+len(state)/2)
-	out = append(out, shardMagic[:]...)
+	out := make([]byte, sumHeaderLen, sumHeaderLen+3*binary.MaxVarintLen64+len(state)/2)
+	copy(out, shardMagic[:])
 	out = appendUvarint(out, uint64(len(state)))
 	out = appendUvarint(out, uint64(chunkSize))
 	out = appendUvarint(out, uint64(nChunks))
@@ -241,6 +245,7 @@ func (s *CompressedStorage) writeSharded(gen uint64, rank int, state []byte, chu
 		out = appendUvarint(out, uint64(len(frame)))
 		out = append(out, frame...)
 	}
+	binary.LittleEndian.PutUint32(out[len(shardMagic):], crc32.Checksum(out[sumHeaderLen:], castagnoli))
 	s.Obs.Counter("checkpoint_raw_bytes_total").Add(uint64(len(state)))
 	s.Obs.Counter("checkpoint_compressed_bytes_total").Add(uint64(len(out)))
 	return s.Inner.Write(gen, rank, out)
@@ -261,23 +266,29 @@ func (s *CompressedStorage) Read(gen uint64, rank int) ([]byte, error) {
 }
 
 func (s *CompressedStorage) decode(compressed []byte) ([]byte, error) {
-	if bytes.HasPrefix(compressed, shardMagic[:]) {
-		return readSharded(compressed[len(shardMagic):], s.Shards)
-	}
-	if !bytes.HasPrefix(compressed, sumMagic[:]) || len(compressed) < sumHeaderLen {
+	if len(compressed) < sumHeaderLen {
 		return nil, errors.New("no layout header")
 	}
-	sum, stream := binary.LittleEndian.Uint32(compressed[len(sumMagic):]), compressed[sumHeaderLen:]
-	in := getInflater(stream)
-	defer inflaters.Put(in)
-	state, err := in.inflate()
+	sum, body := binary.LittleEndian.Uint32(compressed[len(sumMagic):]), compressed[sumHeaderLen:]
+	var state []byte
+	var err error
+	switch {
+	case bytes.HasPrefix(compressed, sumMagic[:]):
+		in := getInflater(body)
+		state, err = in.inflate()
+		inflaters.Put(in)
+	case bytes.HasPrefix(compressed, shardMagic[:]):
+		state, err = readSharded(body, s.Shards)
+	default:
+		return nil, errors.New("no layout header")
+	}
 	if err != nil {
 		return nil, err
 	}
-	// Checked after decoding, so a stream the decoder rejects reports
+	// Checked after decoding, so a body the decoder rejects reports
 	// where it broke rather than only that its checksum is off.
-	if crc32.Checksum(stream, castagnoli) != sum {
-		return nil, errors.New("stream checksum mismatch")
+	if crc32.Checksum(body, castagnoli) != sum {
+		return nil, errors.New("checksum mismatch")
 	}
 	return state, nil
 }

@@ -90,36 +90,47 @@ func TestCompressedSingleBitFlipIsAnError(t *testing.T) {
 	}
 }
 
-// TestCompressedEveryBitFlipIsAnError flips each bit of a stored
-// single-stream image in turn. The image is a run of one byte value, so
-// many flips inside the stream still decode to the original image; the
-// checksum must reject those too.
+// TestCompressedEveryBitFlipIsAnError flips each bit of a stored image
+// in turn, in both layouts: a single stream, and a sharded container
+// whose chunks each hold part of the run. The image is a run of one byte
+// value, so many flips inside a stream still decode to the original
+// image; the checksum must reject those too.
 func TestCompressedEveryBitFlipIsAnError(t *testing.T) {
-	inner := NewMemStorage()
-	s := NewCompressedStorage(inner)
 	state := bytes.Repeat([]byte{0xAB}, 4096)
-	if err := s.Write(1, 0, state); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Commit(1, 1); err != nil {
-		t.Fatal(err)
-	}
-	stored, err := inner.Read(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range stored {
-		for bit := 0; bit < 8; bit++ {
-			flipped := bytes.Clone(stored)
-			flipped[i] ^= 1 << bit
-			if err := inner.Write(1, 0, flipped); err != nil {
+	for _, tc := range []struct {
+		name              string
+		shards, chunkSize int
+	}{
+		{"single-stream", 0, 0},
+		{"sharded", 2, 1024},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inner := NewMemStorage()
+			s := &CompressedStorage{Inner: inner, Shards: tc.shards, ChunkSize: tc.chunkSize}
+			if err := s.Write(1, 0, state); err != nil {
 				t.Fatal(err)
 			}
-			if got, err := s.Read(1, 0); err == nil {
-				t.Fatalf("flip of byte %d bit %d decoded to %d bytes with nil error (intact: %v)",
-					i, bit, len(got), bytes.Equal(got, state))
+			if err := s.Commit(1, 1); err != nil {
+				t.Fatal(err)
 			}
-		}
+			stored, err := inner.Read(1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range stored {
+				for bit := 0; bit < 8; bit++ {
+					flipped := bytes.Clone(stored)
+					flipped[i] ^= 1 << bit
+					if err := inner.Write(1, 0, flipped); err != nil {
+						t.Fatal(err)
+					}
+					if got, err := s.Read(1, 0); err == nil {
+						t.Fatalf("flip of byte %d bit %d decoded to %d bytes with nil error (intact: %v)",
+							i, bit, len(got), bytes.Equal(got, state))
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -267,7 +278,7 @@ func TestShardedCorruptionIsAnError(t *testing.T) {
 	})
 	t.Run("header-mismatch", func(t *testing.T) {
 		bad := append([]byte(nil), stored...)
-		bad[len(shardMagic)] ^= 0x01 // perturb the rawSize varint
+		bad[sumHeaderLen] ^= 0x01 // perturb the rawSize varint
 		if err := inner.Write(1, 0, bad); err != nil {
 			t.Fatal(err)
 		}

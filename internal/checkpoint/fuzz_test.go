@@ -94,7 +94,8 @@ func FuzzShardedFrameDecode(f *testing.F) {
 // running out of memory.
 func TestShardedHeaderBombRejected(t *testing.T) {
 	craft := func(rawSize, chunkSize, nChunks uint64, tail []byte) []byte {
-		p := append([]byte{}, shardMagic[:]...)
+		// The checksum field stays zero: the header checks run before it.
+		p := append(append([]byte{}, shardMagic[:]...), 0, 0, 0, 0)
 		p = appendUvarint(p, rawSize)
 		p = appendUvarint(p, chunkSize)
 		p = appendUvarint(p, nChunks)

@@ -90,8 +90,6 @@ type PeerStoreConfig struct {
 	// peer_store_*). Registration happens here, not at package init, so
 	// jobs without peer replication never see these instruments.
 	Obs *obs.Registry
-	// Trace, when non-nil, receives partial-restart fetch events.
-	Trace *obs.Tracer
 	// Flight, when non-nil, receives a "peer_fetch" span per fetch on
 	// the fetching rank's black-box stream (sphere = virtual rank being
 	// fetched, step = generation).
@@ -996,9 +994,6 @@ func (pv *peerView) fetch(gen uint64, rank int, shards [][]byte, size uint32, ha
 				return nil, fmt.Errorf("gen %d rank %d: %w", gen, rank, err)
 			}
 			ps.met.remoteHits.Inc()
-			ps.cfg.Trace.Emit("peer_fetch", me, rank, int(gen), map[string]any{
-				"holder": c, "bytes": len(state), "round": round, "shards": have,
-			})
 			return state, nil
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -11,18 +10,17 @@ import (
 
 // obsConfig is a small fixed job used by the telemetry tests: 4 virtual
 // ranks at 2x with checkpointing every 10 steps.
-func obsConfig(tr *obs.Tracer) Config {
+func obsConfig() Config {
 	return Config{
 		Ranks:          4,
 		Degree:         2,
 		StepInterval:   10,
 		AttemptTimeout: time.Minute,
-		Tracer:         tr,
 	}
 }
 
 func TestResultMetricsPopulated(t *testing.T) {
-	res, err := Run(obsConfig(nil), cgFactory(t, 6, 30))
+	res, err := Run(obsConfig(), cgFactory(t, 6, 30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,39 +87,10 @@ func TestExternalRegistryReceivesJobCounters(t *testing.T) {
 	}
 }
 
-// TestTraceDeterministicAcrossRuns is the second half of satellite 3: two
-// identical failure-free runs must emit byte-identical ordered traces,
-// replica vs replica and run vs run.
-func TestTraceDeterministicAcrossRuns(t *testing.T) {
-	runOnce := func() []obs.Event {
-		tr := obs.NewTracer(nil)
-		if _, err := Run(obsConfig(tr), cgFactory(t, 6, 30)); err != nil {
-			t.Fatal(err)
-		}
-		return tr.Events()
-	}
-	a, b := runOnce(), runOnce()
-	if len(a) == 0 {
-		t.Fatal("no trace events emitted")
-	}
-	if !reflect.DeepEqual(a, b) {
-		max := len(a)
-		if len(b) < max {
-			max = len(b)
-		}
-		for i := 0; i < max; i++ {
-			if !reflect.DeepEqual(a[i], b[i]) {
-				t.Fatalf("traces diverge at event %d:\n run1: %+v\n run2: %+v", i, a[i], b[i])
-			}
-		}
-		t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
-	}
-}
-
 func TestScheduleOnceForcesExactlyOneRestart(t *testing.T) {
 	// Kill both replicas of sphere 1 at t=0 on attempt 0 only: the job
 	// fails once, restarts, and completes cleanly on attempt 1.
-	cfg := obsConfig(nil)
+	cfg := obsConfig()
 	cfg.MaxRestarts = 3
 	cfg.ScheduleOnce = true
 	cfg.ComputeDelay = 2 * time.Millisecond
@@ -152,7 +121,7 @@ func TestScheduleOnceForcesExactlyOneRestart(t *testing.T) {
 func TestCorruptRanksSurfaceMismatches(t *testing.T) {
 	// Corrupt the second replica of sphere 2: receivers out-vote it on
 	// every delivery, so mismatches are detected without wrong results.
-	cfg := obsConfig(nil)
+	cfg := obsConfig()
 	cfg.CorruptRanks = []int{5} // sphere(2) = {4, 5} at 4 ranks, 2x
 	res, err := Run(cfg, cgFactory(t, 6, 30))
 	if err != nil {

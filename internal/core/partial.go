@@ -368,7 +368,6 @@ func (g *partialGate) newClient(pc mpi.Comm, rc *redundancy.Comm) (*checkpoint.C
 		StepInterval: g.cfg.StepInterval,
 		Pipeline:     g.pipe,
 		Obs:          g.jobReg,
-		Trace:        g.cfg.Tracer,
 		Flight:       g.cfg.Recorder,
 	}
 	if g.peer != nil {
@@ -521,7 +520,6 @@ func (g *partialGate) survive(v int) bool {
 	g.shrinkEpisodes++
 	g.episodes.Inc()
 	g.cfg.Recorder.StartSpan("shrink", -1, v, g.shrinkEpisodes).End()
-	g.cfg.Tracer.Emit("shrink_episode", -1, v, g.shrinkEpisodes, nil)
 	return true
 }
 
@@ -579,7 +577,7 @@ func (g *partialGate) tryRecover(sphere int) bool {
 
 	// Re-check under quiesced state: more deaths may have landed while
 	// draining, and they may have taken the last holder with them.
-	gen, _, ok := g.peer.UsableGeneration()
+	_, _, ok := g.peer.UsableGeneration()
 	if !ok {
 		g.fallbacks.Inc()
 		return false // caller aborts; parked drivers wake and exit
@@ -629,9 +627,6 @@ func (g *partialGate) tryRecover(sphere int) bool {
 	resume.End()
 
 	g.partials.Inc()
-	g.cfg.Tracer.Emit("partial_restart", -1, sphere, int(gen), map[string]any{
-		"revived": len(revived),
-	})
 	return true
 }
 

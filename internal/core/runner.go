@@ -153,15 +153,13 @@ type Config struct {
 	// checkpoint_*, failure_*, and runner_* counters are cumulative
 	// across attempts.
 	Obs *obs.Registry
-	// Tracer, when non-nil, receives structured events from the runner,
-	// the checkpoint protocol, and the failure injector. Nil (the
-	// default) is the no-op tracer.
-	Tracer *obs.Tracer
-	// Recorder, when non-nil, is the bounded flight recorder threaded
-	// through every layer: the transport (sends, drops, liveness), the
-	// failure injector (kills, sphere exhaustion), the checkpoint tier
-	// (restore, drain, peer-fetch spans), and the runner's own recovery
-	// spans. Nil (the default) disables flight recording entirely.
+	// Recorder, when non-nil, is the job's one event stream: the bounded
+	// flight recorder threaded through every layer — the transport
+	// (sends, drops, liveness), the failure injector (kills, sphere
+	// exhaustion), the checkpoint tier (commits, bookmark retries,
+	// restores, drain and peer-fetch spans), and the runner's own
+	// attempt, recovery and outcome records. Nil (the default) disables
+	// it entirely.
 	Recorder *obs.Recorder
 	// RankView, when non-nil, is called once per attempt with the fresh
 	// world's liveness view — the hook the introspection server's
@@ -390,18 +388,26 @@ func Run(cfg Config, factory func() apps.App) (Result, error) {
 	// restarts so that recomputation after a full restart counts too.
 	acct := newStepAccounting(rankMap.VirtualSize(), cfg.StepKills, jobReg, cfg.Recorder)
 
-	// Shrink forces MaxRestarts == 0: its single attempt survives sphere
-	// deaths in place or not at all.
-	shrink := cfg.RecoveryPolicy == RecoverShrink
 	res := Result{PhysicalRanks: rankMap.PhysicalSize()}
 	start := time.Now()
+	// finish closes the run: run_end's arg is 1 when the job completed.
+	finish := func(attempt int, err error) (Result, error) {
+		completed := int64(0)
+		if res.Completed {
+			completed = 1
+		}
+		cfg.Recorder.Emit("run_end", -1, -1, attempt, completed)
+		res.Elapsed = time.Since(start)
+		res.RecomputedSteps = acct.recomputed.Value()
+		res.Metrics = jobReg.Snapshot()
+		return res, err
+	}
 	for attempt := 0; attempt <= cfg.MaxRestarts; attempt++ {
 		rm.attempts.Inc()
 		if attempt > 0 {
 			rm.restarts.Inc()
 			acct.newEpoch()
 		}
-		cfg.Tracer.Emit("attempt_start", -1, -1, attempt, nil)
 		attemptSpan := cfg.Recorder.StartSpan("attempt", -1, -1, attempt)
 		at, apps, redStats, worldSnap, appErr := runAttempt(
 			cfg, rankMap, store, pipe, stream.Split(), timeout, attempt, jobReg, acct, factory)
@@ -417,21 +423,12 @@ func Run(cfg Config, factory func() apps.App) (Result, error) {
 		rm.attemptMS.Observe(float64(at.Elapsed.Milliseconds()))
 		if at.JobFailed {
 			rm.jobFailures.Inc()
+			cfg.Recorder.Emit("job_failed", -1, -1, attempt, 0)
 		}
 		if at.TimedOut {
 			rm.timeouts.Inc()
+			cfg.Recorder.Emit("timed_out", -1, -1, attempt, 0)
 		}
-		end := map[string]any{
-			"job_failed":  at.JobFailed,
-			"timed_out":   at.TimedOut,
-			"failures":    at.Failures,
-			"checkpoints": at.Checkpoints,
-			"restored":    at.Restored,
-		}
-		if shrink {
-			end["shrink_episodes"] = at.ShrinkEpisodes
-		}
-		cfg.Tracer.Emit("attempt_end", -1, -1, attempt, end)
 
 		succeeded := appErr == nil && !at.JobFailed && !at.TimedOut
 		if succeeded {
@@ -450,37 +447,18 @@ func Run(cfg Config, factory func() apps.App) (Result, error) {
 		case succeeded:
 			res.Completed = true
 			rm.completions.Inc()
-			end := map[string]any{"completed": true, "restarts": attempt}
-			if shrink {
-				end["shrink_episodes"] = res.ShrinkEpisodes
-			}
-			cfg.Tracer.Emit("run_end", -1, -1, attempt, end)
-			res.Elapsed = time.Since(start)
 			res.CompletedApps = apps
-			res.RecomputedSteps = acct.recomputed.Value()
-			res.Metrics = jobReg.Snapshot()
-			return res, nil
+			return finish(attempt, nil)
 		case at.TimedOut:
-			res.Elapsed = time.Since(start)
-			res.RecomputedSteps = acct.recomputed.Value()
-			res.Metrics = jobReg.Snapshot()
-			return res, fmt.Errorf("attempt %d: %w", attempt, ErrAttemptTimeout)
+			return finish(attempt, fmt.Errorf("attempt %d: %w", attempt, ErrAttemptTimeout))
 		case appErr != nil && !at.JobFailed:
 			// A genuine application error, not failure-induced.
-			res.Elapsed = time.Since(start)
-			res.RecomputedSteps = acct.recomputed.Value()
-			res.Metrics = jobReg.Snapshot()
-			return res, fmt.Errorf("attempt %d: %w", attempt, appErr)
+			return finish(attempt, fmt.Errorf("attempt %d: %w", attempt, appErr))
 		}
 		// Job failure: loop for a restart.
 	}
-	cfg.Tracer.Emit("run_end", -1, -1, cfg.MaxRestarts, map[string]any{
-		"completed": false, "restarts": cfg.MaxRestarts,
-	})
-	res.Elapsed = time.Since(start)
-	res.RecomputedSteps = acct.recomputed.Value()
-	res.Metrics = jobReg.Snapshot()
-	return res, fmt.Errorf("%w after %d attempts", ErrRestartsExhausted, cfg.MaxRestarts+1)
+	return finish(cfg.MaxRestarts,
+		fmt.Errorf("%w after %d attempts", ErrRestartsExhausted, cfg.MaxRestarts+1))
 }
 
 // runAttempt executes one job attempt: fresh world, fresh injector,
@@ -544,7 +522,6 @@ func runAttempt(cfg Config, rankMap *redundancy.RankMap, store checkpoint.Storag
 			NodeMTBF: cfg.NodeMTBF,
 			Schedule: schedule,
 			Obs:      jobReg,
-			Trace:    cfg.Tracer,
 			Flight:   cfg.Recorder,
 		})
 		if err != nil {
@@ -569,7 +546,6 @@ func runAttempt(cfg Config, rankMap *redundancy.RankMap, store checkpoint.Storag
 			Slow:         store,
 			Live:         world,
 			Obs:          jobReg,
-			Trace:        cfg.Tracer,
 			Flight:       cfg.Recorder,
 		})
 		if err != nil {

@@ -52,9 +52,6 @@ type Config struct {
 	// per-node and per-sphere breakdowns
 	// (failure_kills_node_<p>_total, failure_kills_sphere_<v>_total).
 	Obs *obs.Registry
-	// Trace, when non-nil, receives one "kill" event per injection
-	// (rank = physical rank, sphere = its replica sphere).
-	Trace *obs.Tracer
 	// Flight, when non-nil, receives one fixed-size "kill" record per
 	// injection (arg = kill ordinal) and a "sphere_exhausted" record when
 	// a kill empties a replica sphere — the black-box view of why a
@@ -179,8 +176,11 @@ func (inj *Injector) Failures() int {
 	return len(inj.log)
 }
 
-// Start launches the background killer goroutine. Call Stop to halt it
-// and wait for it to exit.
+// Start applies every kill due at offset 0 on the caller's goroutine, so
+// those ranks are dead (and their exhaustions queued) before anything
+// the caller launches next can run, then launches the background killer
+// for the rest of the schedule. Call Stop to halt it and wait for it to
+// exit.
 func (inj *Injector) Start() {
 	inj.mu.Lock()
 	if inj.started {
@@ -188,8 +188,14 @@ func (inj *Injector) Start() {
 		return
 	}
 	inj.started = true
+	start := time.Now()
+	kills := inj.schedule()
+	due := 0
+	for ; due < len(kills) && kills[due].After <= 0; due++ {
+		inj.killLocked(kills[due].Rank, 0)
+	}
 	inj.mu.Unlock()
-	go inj.run()
+	go inj.run(start, kills[due:])
 }
 
 // Stop halts injection and waits for the background goroutine.
@@ -237,15 +243,16 @@ func (inj *Injector) schedule() []Kill {
 	return kills
 }
 
-func (inj *Injector) run() {
+// run applies the kills Start left (each due after offset 0) at their
+// offsets from start.
+func (inj *Injector) run(start time.Time, kills []Kill) {
 	defer close(inj.doneCh)
-	start := time.Now()
 	timer := time.NewTimer(0)
 	defer timer.Stop()
 	if !timer.Stop() {
 		<-timer.C
 	}
-	for _, kill := range inj.schedule() {
+	for _, kill := range kills {
 		wait := kill.After - time.Since(start)
 		if wait > 0 {
 			timer.Reset(wait)
@@ -277,6 +284,11 @@ func (inj *Injector) kill(rank int, at time.Duration) {
 	// queued, so the send never blocks.
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
+	inj.killLocked(rank, at)
+}
+
+// killLocked is kill with inj.mu held.
+func (inj *Injector) killLocked(rank int, at time.Duration) {
 	inj.target.Kill(rank)
 	inj.log = append(inj.log, Kill{Rank: rank, After: at})
 	ordinal := int64(len(inj.log))
@@ -306,9 +318,6 @@ func (inj *Injector) kill(rank int, at time.Duration) {
 			reg.Counter("failure_sphere_exhausted_total").Inc()
 		}
 	}
-	inj.cfg.Trace.Emit("kill", rank, sphere, 0, map[string]any{
-		"after_ms": at.Milliseconds(),
-	})
 	// Arg carries the kill ordinal (1-based), never wall time, so
 	// deterministic-mode dumps stay byte-stable.
 	inj.cfg.Flight.Emit("kill", rank, sphere, 0, ordinal)

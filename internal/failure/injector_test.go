@@ -165,11 +165,46 @@ func TestStopBeforeFirstKill(t *testing.T) {
 
 func TestStopWithoutStart(t *testing.T) {
 	r := &recorder{}
-	inj, err := New(r, PlainSpheres(1), Config{Schedule: []Kill{}})
+	inj, err := New(r, PlainSpheres(2), Config{Schedule: []Kill{{Rank: 0}, {Rank: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj.Stop() // must not hang
+	// Stop before Start absorbs the Start, offset-0 kills included.
+	inj.Start()
+	if got := r.killed(); len(got) != 0 {
+		t.Fatalf("Start after Stop killed %v", got)
+	}
+}
+
+// TestStartAppliesOffsetZeroKills pins that a kill due at offset 0 has
+// landed, and its exhaustion is queued, by the time Start returns: a job
+// launched right after Start can never finish before its own t=0 kills.
+// The kill due later stays with the background killer.
+func TestStartAppliesOffsetZeroKills(t *testing.T) {
+	spheres := [][]int{{0, 1}, {2, 3}}
+	r := &recorder{}
+	inj, err := New(r, spheres, Config{Schedule: []Kill{
+		{Rank: 0, After: time.Hour},
+		{Rank: 2},
+		{Rank: 3, After: -time.Millisecond},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.Start()
+	log := inj.Log()
+	v, ok := inj.PollJobFailed()
+	inj.Stop()
+	if len(log) != 2 || log[0].Rank != 3 || log[1].Rank != 2 {
+		t.Fatalf("log after Start = %+v, want the kills of ranks 3 and 2", log)
+	}
+	if !ok || v != 1 {
+		t.Fatalf("PollJobFailed after Start = %d, %v; want sphere 1 queued", v, ok)
+	}
+	if got := r.killed(); len(got) != 2 {
+		t.Fatalf("target saw kills %v, want exactly the two offset-0 ones", got)
+	}
 }
 
 func TestRandomScheduleStatistics(t *testing.T) {

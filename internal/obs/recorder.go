@@ -15,19 +15,20 @@ import (
 // steps) without retaining a long run's full history.
 const DefaultFlightCap = 256
 
-// Record is one flight-recorder entry. Unlike the Tracer's Event it is a
-// fixed-size value — no payload map — so the Emit hot path stores it
-// into a preallocated ring slot without allocating.
+// Record is one flight-recorder entry: a fixed-size value — no payload
+// map — so the Emit hot path stores it into a preallocated ring slot
+// without allocating.
 //
 // Seq is the per-rank logical clock (0, 1, 2, … in emission order on
-// that rank), exactly like Event.Seq. Nanos is monotonic nanoseconds
-// since the recorder was created, recorded only in dual-clock mode; in
-// the default deterministic mode it stays zero so two runs of the same
-// seeded job dump byte-identical black boxes. Ev distinguishes span
-// boundaries ("B"/"E", matching Chrome trace_event phase names) from
-// point records (empty). Arg is a kind-specific integer: the peer rank
-// of a send, the duration in nanoseconds of a span end (dual-clock mode
-// only), the kill ordinal of a kill.
+// that rank). Nanos is monotonic nanoseconds since the recorder was
+// created, recorded only in dual-clock mode; in the default
+// deterministic mode it stays zero so two runs of the same seeded job
+// dump byte-identical black boxes. Ev distinguishes span boundaries
+// ("B"/"E", matching Chrome trace_event phase names) from point records
+// (empty). Arg is a kind-specific integer: the peer rank of a send, the
+// duration in nanoseconds of a span end (dual-clock mode only), the kill
+// ordinal of a kill, the rank count of a ckpt_commit, 1 on the run_end
+// of a completed job.
 type Record struct {
 	Seq    uint64 `json:"seq"`
 	Nanos  int64  `json:"ns,omitempty"`
@@ -48,7 +49,7 @@ const (
 
 // recStripes is the number of lock stripes. Ranks hash onto stripes, so
 // contention on Emit is bounded by stripe collisions, not by a single
-// global mutex like the Tracer's.
+// global mutex.
 const recStripes = 64
 
 // recRing is one rank's ring: a fixed-capacity buffer plus the rank's
@@ -74,7 +75,9 @@ type recStripe struct {
 // cheap enough to leave on message hot paths; memory is fixed at
 // cap × ranks-that-emitted regardless of how long the job runs. On
 // failure or exit the retained records are the "black box": the last
-// cap events of every rank, dumped with WriteJSONL.
+// cap events of every rank, dumped with WriteJSONL. With a cap at least
+// as large as every rank's emission count the same dump is the whole-run
+// log; Dropped says when it is not.
 //
 // A nil *Recorder is the disabled mode: Emit, StartSpan, and every
 // accessor are no-ops, so instrumented code holds recorder pointers

@@ -1,12 +1,14 @@
 // Package obs is the reproduction's dependency-free telemetry layer:
 // a Registry of atomic counters, gauges, and fixed-bucket histograms
 // cheap enough to leave enabled on hot paths (one atomic add per event),
-// plus a structured Tracer emitting ordered JSONL events with a
-// deterministic per-rank logical clock, and pprof capture helpers for
-// the CLIs.
+// plus the job's one event stream — the Recorder, fixed-size records in
+// per-rank rings with a deterministic per-rank logical clock, dumped as
+// ordered JSONL both as the failure black box and, with a ring large
+// enough for the run, as its whole-run log — and pprof capture helpers
+// and a live introspection server for the CLIs.
 //
 // Every instrument is nil-safe: methods on a nil *Counter, *Gauge,
-// *Histogram, *Registry, or *Tracer are no-ops (reads return zero).
+// *Histogram, *Registry, or *Recorder are no-ops (reads return zero).
 // This is the disabled path — components hold instrument pointers
 // unconditionally and pay only a nil check when telemetry is off.
 package obs

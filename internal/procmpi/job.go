@@ -72,11 +72,13 @@ type JobConfig struct {
 	NodeMTBF time.Duration
 	Seed     int64
 
-	// Obs, Flight, Tracer thread through to the coordinator and the
-	// injector.
+	// Obs and Flight thread through to the coordinator and the
+	// injector. Flight also gets the attempt loop's records: an
+	// "attempt" span per attempt, "job_failed" or "timed_out" for an
+	// attempt that ends so, and "run_end" (arg 1 when the job completed),
+	// the kinds core.Run emits.
 	Obs    *obs.Registry
 	Flight *obs.Recorder
-	Tracer *obs.Tracer
 
 	// OnCoordinator, when non-nil, observes each attempt's hub right
 	// after it starts accepting (introspection wiring: the coordinator
@@ -254,8 +256,17 @@ func RunJob(cfg JobConfig) (JobResult, error) {
 
 	res := JobResult{PhysicalRanks: cfg.Physical}
 	start := time.Now()
+	// finish closes the run: run_end's arg is 1 when the job completed.
+	finish := func(attempt int, err error) (JobResult, error) {
+		completed := int64(0)
+		if res.Completed {
+			completed = 1
+		}
+		cfg.Flight.Emit("run_end", -1, -1, attempt, completed)
+		res.Elapsed = time.Since(start)
+		return res, err
+	}
 	for attempt := 0; attempt <= cfg.MaxRestarts; attempt++ {
-		cfg.Tracer.Emit("attempt_start", -1, -1, attempt, nil)
 		span := cfg.Flight.StartSpan("attempt", -1, -1, attempt)
 		at, appErr := runJobAttempt(cfg, attempt, timeout, stream.Split(), sk)
 		span.End()
@@ -264,29 +275,21 @@ func RunJob(cfg JobConfig) (JobResult, error) {
 		res.TotalFailures += at.Failures
 		res.ShrinkEpisodes += at.ShrinkEpisodes
 		res.Restarts = attempt
-		cfg.Tracer.Emit("attempt_end", -1, -1, attempt, map[string]any{
-			"job_failed": at.JobFailed,
-			"timed_out":  at.TimedOut,
-			"failures":   at.Failures,
-		})
 		switch {
 		case appErr == nil && !at.JobFailed && !at.TimedOut:
 			res.Completed = true
-			res.Elapsed = time.Since(start)
-			return res, nil
+			return finish(attempt, nil)
 		case at.TimedOut:
-			res.Elapsed = time.Since(start)
-			return res, fmt.Errorf("procmpi: attempt %d timed out after %v", attempt, timeout)
+			return finish(attempt, fmt.Errorf("procmpi: attempt %d timed out after %v", attempt, timeout))
 		case appErr != nil && !at.JobFailed:
 			// A genuine application error, not failure-induced: retrying
 			// would fail identically.
-			res.Elapsed = time.Since(start)
-			return res, appErr
+			return finish(attempt, appErr)
 		}
 		// Job failure: loop for a restart.
 	}
-	res.Elapsed = time.Since(start)
-	return res, fmt.Errorf("%w after %d attempts", ErrRestartsExhausted, cfg.MaxRestarts+1)
+	return finish(cfg.MaxRestarts,
+		fmt.Errorf("%w after %d attempts", ErrRestartsExhausted, cfg.MaxRestarts+1))
 }
 
 // stepKiller matches relayed application steps against the step-kill
@@ -420,6 +423,7 @@ func runJobAttempt(cfg JobConfig, attempt int, timeout time.Duration, stream *st
 		// A worker died (or wedged) before rendezvous; treat it like any
 		// other failure and let the restart budget decide.
 		coord.Abort()
+		cfg.Flight.Emit("job_failed", -1, -1, attempt, 0)
 		at.JobFailed = true
 		at.Elapsed = time.Since(begin)
 		return at, nil
@@ -443,7 +447,6 @@ func runJobAttempt(cfg JobConfig, attempt int, timeout time.Duration, stream *st
 			NodeMTBF: cfg.NodeMTBF,
 			Schedule: schedule,
 			Obs:      cfg.Obs,
-			Trace:    cfg.Tracer,
 			Flight:   cfg.Flight,
 		})
 		if err != nil {
@@ -474,11 +477,9 @@ func runJobAttempt(cfg JobConfig, attempt int, timeout time.Duration, stream *st
 			// place. Record it and keep waiting for the byes.
 			at.ShrinkEpisodes++
 			cfg.Obs.Counter("shrink_episodes_total").Inc()
-			sp := cfg.Flight.StartSpan("shrink", -1, v, at.ShrinkEpisodes)
-			sp.End()
-			cfg.Tracer.Emit("shrink_episode", -1, v, at.ShrinkEpisodes, nil)
+			cfg.Flight.StartSpan("shrink", -1, v, at.ShrinkEpisodes).End()
 		case v := <-tracker.failed:
-			cfg.Flight.Emit("job_failed", -1, v, 0, int64(attempt))
+			cfg.Flight.Emit("job_failed", -1, v, attempt, 0)
 			at.JobFailed = true
 			coord.Abort()
 			waiting = false
@@ -487,6 +488,7 @@ func runJobAttempt(cfg JobConfig, attempt int, timeout time.Duration, stream *st
 			coord.Abort()
 			waiting = false
 		case <-timer.C:
+			cfg.Flight.Emit("timed_out", -1, -1, attempt, 0)
 			at.TimedOut = true
 			coord.Abort()
 			waiting = false
@@ -498,9 +500,7 @@ func runJobAttempt(cfg JobConfig, attempt int, timeout time.Duration, stream *st
 		case v := <-tracker.episodes:
 			at.ShrinkEpisodes++
 			cfg.Obs.Counter("shrink_episodes_total").Inc()
-			sp := cfg.Flight.StartSpan("shrink", -1, v, at.ShrinkEpisodes)
-			sp.End()
-			cfg.Tracer.Emit("shrink_episode", -1, v, at.ShrinkEpisodes, nil)
+			cfg.Flight.StartSpan("shrink", -1, v, at.ShrinkEpisodes).End()
 		default:
 			done = true
 		}
