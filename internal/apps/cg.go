@@ -18,8 +18,8 @@ import (
 // MPI_Finalize() n number of times").
 //
 // The result is bit-deterministic for a fixed virtual size: reductions
-// run over a fixed binomial tree, so every replica and every redundancy
-// degree produces the identical iterate.
+// run over a fixed radix-8 tree with the binomial combine order, so every
+// replica and every redundancy degree produces the identical iterate.
 type CG struct {
 	// Matrix is the system matrix; every rank holds the full structure
 	// (as NPB CG does) but computes only its row block.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/mpi"
@@ -47,9 +46,12 @@ import (
 // clients of all replicas); core.Run owns its lifecycle across restart
 // attempts.
 type Pipeline struct {
-	jobs   chan asyncJob
-	wg     sync.WaitGroup
-	active atomic.Int64 // jobs submitted and not yet finished
+	jobs chan asyncJob
+	wg   sync.WaitGroup
+
+	mu     sync.Mutex
+	idle   *sync.Cond // signalled when active drops to zero
+	active int        // jobs submitted and not yet finished
 
 	closeOnce sync.Once
 }
@@ -72,6 +74,7 @@ func NewPipeline(workers int) *Pipeline {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	p := &Pipeline{jobs: make(chan asyncJob, 4*workers)}
+	p.idle = sync.NewCond(&p.mu)
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go p.worker()
@@ -89,7 +92,9 @@ func (p *Pipeline) Close() {
 }
 
 func (p *Pipeline) submit(j asyncJob) {
-	p.active.Add(1)
+	p.mu.Lock()
+	p.active++
+	p.mu.Unlock()
 	p.jobs <- j
 }
 
@@ -100,9 +105,11 @@ func (p *Pipeline) submit(j asyncJob) {
 // holder registry reflects reality and a complete latest generation can
 // be promoted to committed.
 func (p *Pipeline) Flush() {
-	for p.active.Load() > 0 {
-		time.Sleep(50 * time.Microsecond)
+	p.mu.Lock()
+	for p.active > 0 {
+		p.idle.Wait()
 	}
+	p.mu.Unlock()
 }
 
 func (p *Pipeline) worker() {
@@ -123,7 +130,11 @@ func (p *Pipeline) worker() {
 		cl.met.inflight.Add(-1)
 		cl.inflightN.Add(-1)
 		cl.inflight.Done()
-		p.active.Add(-1)
+		p.mu.Lock()
+		if p.active--; p.active == 0 {
+			p.idle.Broadcast()
+		}
+		p.mu.Unlock()
 	}
 }
 

@@ -288,3 +288,58 @@ func TestAsyncUnderConcurrentIntervals(t *testing.T) {
 		}
 	}
 }
+
+// gatedStorage holds every Write until the test lets one through, and
+// counts the writes that have landed.
+type gatedStorage struct {
+	Storage
+	gate   chan struct{}
+	mu     sync.Mutex
+	landed int
+}
+
+func (s *gatedStorage) Write(gen uint64, rank int, data []byte) error {
+	<-s.gate
+	err := s.Storage.Write(gen, rank, data)
+	s.mu.Lock()
+	s.landed++
+	s.mu.Unlock()
+	return err
+}
+
+// TestPipelineFlushWaitsForEveryWrite: Flush returns only once every
+// submitted write has landed. The writes are let through one at a time,
+// and before each the test checks that Flush has not returned yet.
+func TestPipelineFlushWaitsForEveryWrite(t *testing.T) {
+	const writes = 6
+	store := &gatedStorage{Storage: NewMemStorage(), gate: make(chan struct{})}
+	pipe := NewPipeline(2)
+	defer pipe.Close()
+	pipe.Flush() // nothing submitted: returns at once
+
+	var cl Client
+	cl.inflight.Add(writes)
+	for r := 0; r < writes; r++ {
+		pipe.submit(asyncJob{storage: store, rank: r, data: []byte{byte(r)}, cl: &cl})
+	}
+	flushed := make(chan int)
+	go func() {
+		pipe.Flush()
+		store.mu.Lock()
+		n := store.landed
+		store.mu.Unlock()
+		flushed <- n
+	}()
+	for i := 0; i < writes; i++ {
+		select {
+		case n := <-flushed:
+			t.Fatalf("Flush returned with %d of %d writes landed", n, writes)
+		default:
+		}
+		store.gate <- struct{}{}
+	}
+	if n := <-flushed; n != writes {
+		t.Fatalf("Flush returned with %d of %d writes landed", n, writes)
+	}
+	pipe.Flush() // idle again
+}

@@ -219,13 +219,18 @@ func TestPartialDegreeUnderFire(t *testing.T) {
 		t.Fatal(err)
 	}
 	factory := func() apps.App { return &apps.CG{Matrix: m, Iterations: 150} }
+	want := cleanChecksum(t, factory)
 
+	// Both jobs' kills are pinned to steps, so neither races the
+	// detector's speed: a replica death is masked by its twin, and each
+	// death of the unreplicated rank costs exactly one restart from the
+	// last checkpoint (every 20 steps).
 	tolerated, err := Run(Config{
 		Ranks: 4, Degree: 1.5,
-		FailureSchedule: []failure.Kill{{Rank: dup[1], After: 100 * time.Millisecond}},
-		MaxRestarts:     0,
-		AttemptTimeout:  time.Minute,
-		ComputeDelay:    time.Millisecond,
+		StepKills:      []StepKill{{Step: 60, Rank: dup[1]}},
+		MaxRestarts:    0,
+		AttemptTimeout: time.Minute,
+		ComputeDelay:   time.Millisecond,
 	}, factory)
 	if err != nil {
 		t.Fatalf("replica kill at 1.5x should be tolerated: %v", err)
@@ -233,23 +238,29 @@ func TestPartialDegreeUnderFire(t *testing.T) {
 	if tolerated.Restarts != 0 {
 		t.Fatalf("tolerated run restarted: %+v", tolerated)
 	}
+	if got := cgChecksum(t, tolerated); got != want {
+		t.Fatalf("tolerated run's checksum = %v, want the failure-free %v", got, want)
+	}
 
 	res, err := Run(Config{
 		Ranks: 4, Degree: 1.5,
-		Storage:         checkpoint.NewMemStorage(),
-		StepInterval:    20,
-		FailureSchedule: []failure.Kill{{Rank: single[0], After: 150 * time.Millisecond}},
-		MaxRestarts:     3,
-		AttemptTimeout:  time.Minute,
-		ComputeDelay:    2 * time.Millisecond,
+		Storage:        checkpoint.NewMemStorage(),
+		StepInterval:   20,
+		StepKills:      []StepKill{{Step: 50, Rank: single[0]}, {Step: 110, Rank: single[0]}},
+		MaxRestarts:    3,
+		AttemptTimeout: time.Minute,
+		ComputeDelay:   2 * time.Millisecond,
 	}, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Restarts == 0 {
-		t.Fatal("killing an unreplicated rank at 1.5x must fail the job")
-	}
 	if !res.Completed {
 		t.Fatalf("%+v", res)
+	}
+	if res.Restarts != 2 {
+		t.Fatalf("Restarts = %d, want exactly 2: each kill of the unreplicated rank fails the job once", res.Restarts)
+	}
+	if got := cgChecksum(t, res); got != want {
+		t.Fatalf("checksum after two restarts = %v, want the failure-free %v", got, want)
 	}
 }

@@ -10,69 +10,6 @@ import (
 	"repro/internal/simmpi"
 )
 
-// tagRDExchange mirrors the recursive-doubling exchange tag inside
-// AllreduceRDFloat64s (fold-in +0, exchange rounds +1, fold-out +2).
-const tagRDExchange = mpi.TagCollectiveBase + 6*64 + 1
-
-// TestAllreduceRDSteadyStateAllocs drives a two-rank recursive-doubling
-// allreduce from a single goroutine: simmpi sends are eager, so rank 1's
-// exchange message can be pre-deposited before rank 0 enters the
-// collective, and rank 0's counterpart send is drained afterwards. With
-// the pooled codec path warm, one call costs just the result vector and
-// its encode scratch.
-func TestAllreduceRDSteadyStateAllocs(t *testing.T) {
-	w, err := simmpi.NewWorld(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c0, _ := w.Comm(0)
-	c1, _ := w.Comm(1)
-	in0 := []float64{1, 2, 3, 4}
-	in1 := []float64{10, 20, 30, 40}
-	payload1 := make([]byte, 8*len(in1))
-	for i, x := range in1 {
-		binary.LittleEndian.PutUint64(payload1[8*i:], math.Float64bits(x))
-	}
-	round := func() []float64 {
-		// Pre-deposit rank 1's half of the single exchange round
-		// (2 ranks: pow2 = 2, one round, partner = rank ^ 1).
-		if err := c1.Send(0, tagRDExchange, payload1); err != nil {
-			t.Fatal(err)
-		}
-		out, err := mpi.AllreduceRDFloat64s(c0, in0, mpi.OpSum)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Drain rank 0's exchange send so the next round starts clean.
-		msg, err := c1.Recv(0, tagRDExchange)
-		if err != nil {
-			t.Fatal(err)
-		}
-		msg.Release()
-		return out
-	}
-
-	out := round()
-	want := []float64{11, 22, 33, 44}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("allreduce result = %v, want %v", out, want)
-		}
-	}
-
-	if raceEnabled {
-		t.Skip("allocation accounting is not meaningful under the race detector")
-	}
-	for i := 0; i < 20; i++ {
-		round() // warm the arena's size classes
-	}
-	// Budget: the returned accumulator and the encode scratch; the
-	// message path itself must be allocation-free.
-	if avg := testing.AllocsPerRun(50, func() { round() }); avg > 3 {
-		t.Errorf("allreduce round allocates %.2f, want ≤3", avg)
-	}
-}
-
 // rankLoop starts one long-lived goroutine per rank of w, each running
 // its step once per call of the returned round function, so an
 // AllocsPerRun measurement of a collective excludes goroutine start-up.
@@ -167,10 +104,10 @@ func TestAllgatherCGShapedSteadyStateAllocs(t *testing.T) {
 }
 
 // TestAllreduceTreeSteadyStateAllocs pins the tree allreduce CG runs
-// three times per step: the reduce step encodes into arena scratch and
-// every non-root rank releases the bcast result message after decoding,
-// so a warm 8-rank round allocates just each rank's result vector and
-// accumulator.
+// twice per step: the accumulator is arena scratch that every hop
+// combines into in place and forwards as is, and each non-root rank
+// releases the release message after decoding it, so a warm 8-rank
+// round allocates just each rank's result vector.
 func TestAllreduceTreeSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under the race detector")
@@ -196,9 +133,31 @@ func TestAllreduceTreeSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		round()
 	}
-	// Budget: 8 accumulators + 7 decoded results measured, plus slack.
-	// Each unreleased or freshly allocated message costs 2 more.
-	if avg := testing.AllocsPerRun(50, round); avg > 17 {
-		t.Errorf("8-rank tree allreduce allocates %.2f per round, want ≤17", avg)
+	// Budget: 8 result vectors measured, plus slack. A per-hop encode
+	// or an unreleased message costs at least 7 more.
+	if avg := testing.AllocsPerRun(50, round); avg > 10 {
+		t.Errorf("8-rank tree allreduce allocates %.2f per round, want ≤10", avg)
+	}
+}
+
+// TestBarrierSteadyStateAllocs pins the tree barrier: its tokens are
+// empty, so they skip the arena, and a warm 8-rank round allocates
+// nothing.
+func TestBarrierSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under the race detector")
+	}
+	w, err := simmpi.NewWorld(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := rankLoop(t, w, func(c mpi.Comm) func() error {
+		return func() error { return mpi.Barrier(c) }
+	})
+	for i := 0; i < 20; i++ {
+		round()
+	}
+	if avg := testing.AllocsPerRun(50, round); avg > 1 {
+		t.Errorf("8-rank barrier allocates %.2f per round, want ≤1", avg)
 	}
 }

@@ -120,3 +120,28 @@ func TestTagRangesDisjoint(t *testing.T) {
 // The pack-codec fuzz targets live in fuzz_test.go
 // (FuzzUnpackParts and friends), with a stronger canonical
 // round-trip property than the original re-pack check.
+
+// Test-side encoders for the wire forms the collectives use.
+
+func encodeFloat64s(xs []float64) []byte {
+	buf := make([]byte, 8*len(xs))
+	float64Words.encode(buf, xs)
+	return buf
+}
+
+func encodeInt64s(xs []int64) []byte {
+	buf := make([]byte, 8*len(xs))
+	int64Words.encode(buf, xs)
+	return buf
+}
+
+func decodeFloat64s(buf []byte) ([]float64, error) { return float64Words.decode(buf) }
+
+func decodeInt64s(buf []byte) ([]int64, error) { return int64Words.decode(buf) }
+
+// packParts length-prefixes a slice of byte slices into one payload.
+func packParts(parts [][]byte) []byte {
+	buf := make([]byte, packedLen(parts))
+	packPartsInto(buf, parts)
+	return buf
+}

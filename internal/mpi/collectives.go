@@ -9,9 +9,10 @@ import (
 // Collective tags. Collectives must be called by all ranks in the same
 // order (the standard MPI requirement); FIFO matching per (source, tag)
 // then keeps back-to-back collectives of the same kind from interfering.
-// Each collective gets a 64-tag window so multi-round algorithms
-// (the dissemination barrier uses tag base+round) cannot collide with a
-// neighbouring collective's tag.
+// Each collective owns a 64-tag window. Barrier and the reductions use
+// two tags of theirs: the base for the tree's up phase (child to parent)
+// and base+1 for its down phase (parent to child), so a release travels
+// on a tag of its own, apart from the up-phase blocks and from Bcast.
 const (
 	tagBarrier  = TagCollectiveBase + 0*64
 	tagBcast    = TagCollectiveBase + 1*64
@@ -21,23 +22,118 @@ const (
 	tagAlltoall = TagCollectiveBase + 5*64
 )
 
-// Barrier blocks until every rank has entered the barrier, using the
-// dissemination algorithm (⌈log2 p⌉ rounds, no root bottleneck).
-func Barrier(c Comm) error {
+// Tree radices. Reductions and the barrier move at most a few words per
+// hop, so their cost is the hops on the critical path: radix 8 makes an
+// 8-rank allreduce two hops (up, then down) where the binomial tree took
+// six. A bcast hop copies its whole payload (CG's packed allgather is
+// ≈74 KB), and under redundancy compares it replica against replica, so
+// Bcast keeps the binomial tree, which spreads those copies over the
+// ranks instead of serialising seven of them at the root.
+const (
+	reduceRadix = 8
+	bcastRadix  = 2
+)
+
+// tree is one rank's place in the radix-k tree rooted at root, over
+// ranks relabelled rel = (rank − root) mod size so the root is 0. A
+// node's parent clears rel's lowest nonzero base-k digit; its children
+// are rel + i·span for i = 1…k−1 at each level span = 1, k, k², … below
+// that digit (every level for the root), as long as they are < size.
+// Each node at level span thus heads the aligned block [rel, rel+k·span)
+// of ranks. Radix 2 is the binomial tree.
+type tree struct {
+	c                  Comm
+	size, root, rel, k int
+	parent, span       int // parent's rel; span of rel's lowest nonzero digit (the root's: first power of k ≥ size)
+}
+
+func newTree(c Comm, root, k int) (tree, error) {
 	size := c.Size()
-	rank := c.Rank()
-	for k := 0; 1<<k < size; k++ {
-		dist := 1 << k
-		dst := (rank + dist) % size
-		src := (rank - dist + size) % size
-		if err := c.Send(dst, tagBarrier+k, nil); err != nil {
-			return fmt.Errorf("barrier round %d: %w", k, err)
+	if root < 0 || root >= size {
+		return tree{}, fmt.Errorf("root %d: %w", root, ErrInvalidRank)
+	}
+	t := tree{c: c, size: size, root: root, rel: (c.Rank() - root + size) % size, k: k, span: 1}
+	for ; t.span < size; t.span *= k {
+		if d := t.rel / t.span % k; d != 0 {
+			t.parent = t.rel - d*t.span
+			break
 		}
-		msg, err := c.Recv(src, tagBarrier+k)
+	}
+	return t, nil
+}
+
+// rank maps a relative rank back to a rank of c.
+func (t tree) rank(rel int) int { return (rel + t.root) % t.size }
+
+// up is the tree's up phase. At each level below its own, a rank takes
+// its children's blocks of that level (messages on tag) and folds them
+// into acc; then every rank but the root sends acc to its parent. The
+// barrier's acc and tokens are empty, so its folds do nothing.
+func up[T word](t tree, tag int, acc []byte, wc wordCodec[T], op ReduceOp) error {
+	var blocks [reduceRadix - 1]Message
+	for span := 1; span < t.span; span *= t.k {
+		n := 0
+		for i := 1; i < t.k && t.rel+i*span < t.size; i++ {
+			msg, err := t.c.Recv(t.rank(t.rel+i*span), tag)
+			if err != nil {
+				releaseAll(blocks[:n])
+				return fmt.Errorf("recv from %d: %w", t.rank(t.rel+i*span), err)
+			}
+			blocks[n] = msg
+			n++
+		}
+		err := wc.fold(acc, blocks[:n], op)
+		releaseAll(blocks[:n])
 		if err != nil {
-			return fmt.Errorf("barrier round %d: %w", k, err)
+			return err
 		}
-		msg.Release() // round tokens are empty; recycle immediately
+	}
+	if t.rel == 0 {
+		return nil
+	}
+	if err := t.c.Send(t.rank(t.parent), tag, acc); err != nil {
+		return fmt.Errorf("send: %w", err)
+	}
+	return nil
+}
+
+// down is the tree's down phase: a non-root rank receives the payload
+// from its parent, then every rank forwards it to its children, top
+// level first. It returns the received message (the zero Message at the
+// root, whose payload is data), which the caller releases.
+func (t tree) down(tag int, data []byte) (Message, error) {
+	var msg Message
+	if t.rel != 0 {
+		m, err := t.c.Recv(t.rank(t.parent), tag)
+		if err != nil {
+			return Message{}, fmt.Errorf("recv: %w", err)
+		}
+		msg, data = m, m.Data
+	}
+	for span := t.span / t.k; span >= 1; span /= t.k {
+		for i := 1; i < t.k && t.rel+i*span < t.size; i++ {
+			if err := t.c.Send(t.rank(t.rel+i*span), tag, data); err != nil {
+				msg.Release()
+				return Message{}, fmt.Errorf("send: %w", err)
+			}
+		}
+	}
+	return msg, nil
+}
+
+func releaseAll(msgs []Message) {
+	for i := range msgs {
+		msgs[i].Release()
+	}
+}
+
+// Barrier blocks until every rank has entered the barrier. It is the
+// allreduce of an empty vector: empty tokens go up the radix-8 tree to
+// rank 0 and its release comes back down, 2(p−1) messages in all, and 2
+// hops for up to 8 ranks.
+func Barrier(c Comm) error {
+	if _, err := reduce[int64](c, 0, tagBarrier, nil, OpSum, int64Words, true); err != nil {
+		return fmt.Errorf("barrier: %w", err)
 	}
 	return nil
 }
@@ -61,36 +157,13 @@ func Bcast(c Comm, root int, data []byte) ([]byte, error) {
 // back to the arena. Root (and a one-rank world) receives nothing and
 // gets a zero Message; its payload is the data it passed in.
 func bcast(c Comm, root int, data []byte) (Message, error) {
-	size := c.Size()
-	rank := c.Rank()
-	if root < 0 || root >= size {
-		return Message{}, fmt.Errorf("bcast root %d: %w", root, ErrInvalidRank)
+	t, err := newTree(c, root, bcastRadix)
+	if err != nil {
+		return Message{}, fmt.Errorf("bcast: %w", err)
 	}
-	var msg Message
-	relative := (rank - root + size) % size
-	mask := 1
-	for mask < size {
-		if relative&mask != 0 {
-			src := (relative - mask + root) % size
-			m, err := c.Recv(src, tagBcast)
-			if err != nil {
-				return Message{}, fmt.Errorf("bcast recv: %w", err)
-			}
-			msg, data = m, m.Data
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if relative+mask < size {
-			dst := (relative + mask + root) % size
-			if err := c.Send(dst, tagBcast, data); err != nil {
-				msg.Release()
-				return Message{}, fmt.Errorf("bcast send: %w", err)
-			}
-		}
-		mask >>= 1
+	msg, err := t.down(tagBcast, data)
+	if err != nil {
+		return Message{}, fmt.Errorf("bcast %w", err)
 	}
 	return msg, nil
 }
@@ -293,307 +366,149 @@ func (op ReduceOp) applyInt64(a, b int64) int64 {
 	}
 }
 
-// ReduceFloat64s reduces equal-length vectors elementwise onto root along
-// a binomial tree. Root returns the reduced vector; others return nil.
-// The accumulator stays numeric end to end: each received payload is
-// combined elementwise straight out of the wire buffer (released back to
-// the arena afterwards), and the single encode happens only when this
-// rank forwards its accumulation upward, into an arena scratch buffer
-// that goes back to the arena once the (copying) send returns.
+// word is an element type of the reductions.
+type word interface{ float64 | int64 }
+
+// wordCodec is how one element type meets the wire: one little-endian
+// 8-byte word per element, and the reduction operators on values.
+type wordCodec[T word] struct {
+	bits  func(T) uint64
+	value func(uint64) T
+	apply func(ReduceOp, T, T) T
+}
+
+var (
+	float64Words = wordCodec[float64]{math.Float64bits, math.Float64frombits, ReduceOp.applyFloat64}
+	int64Words   = wordCodec[int64]{
+		func(x int64) uint64 { return uint64(x) },
+		func(u uint64) int64 { return int64(u) },
+		ReduceOp.applyInt64,
+	}
+)
+
+// encode writes xs into buf, which must hold exactly 8*len(xs) bytes.
+func (wc wordCodec[T]) encode(buf []byte, xs []T) {
+	for i, x := range xs {
+		binary.LittleEndian.PutUint64(buf[8*i:], wc.bits(x))
+	}
+}
+
+// decode returns the vector buf encodes, in a slice of its own.
+func (wc wordCodec[T]) decode(buf []byte) ([]T, error) {
+	if len(buf)%8 != 0 {
+		return nil, fmt.Errorf("mpi: payload of %d bytes is not a vector of 8-byte words", len(buf))
+	}
+	xs := make([]T, len(buf)/8)
+	for i := range xs {
+		xs[i] = wc.value(binary.LittleEndian.Uint64(buf[8*i:]))
+	}
+	return xs, nil
+}
+
+// fold combines one tree level into acc, elementwise and in place. acc
+// holds this rank's block B0 and blocks[i] the block B(i+1) of the child
+// i+1 spans further on; they are combined pairwise,
+// ((B0+B1)+(B2+B3))+((B4+B5)+(B6+B7)), dropping absent blocks, which is
+// the order in which the binomial tree combines the same ranks. So the
+// result is the binomial reduce's bit for bit, whatever the radix.
+func (wc wordCodec[T]) fold(acc []byte, blocks []Message, op ReduceOp) error {
+	for _, b := range blocks {
+		if len(b.Data) != len(acc) {
+			return fmt.Errorf("reduce: payload of %d bytes for %d elements", len(b.Data), len(acc)/8)
+		}
+	}
+	n := 1 + len(blocks)
+	var v [reduceRadix]T
+	for off := 0; off < len(acc); off += 8 {
+		v[0] = wc.value(binary.LittleEndian.Uint64(acc[off:]))
+		for i, b := range blocks {
+			v[i+1] = wc.value(binary.LittleEndian.Uint64(b.Data[off:]))
+		}
+		for s := 1; s < n; s *= 2 {
+			for i := 0; i+s < n; i += 2 * s {
+				v[i] = wc.apply(op, v[i], v[i+s])
+			}
+		}
+		binary.LittleEndian.PutUint64(acc[off:], wc.bits(v[0]))
+	}
+	return nil
+}
+
+// reduce is every reduction: in goes up the radix-8 tree rooted at
+// root on tag, each hop combining into the encoded accumulator in place
+// and sending it on as is, so the vector is encoded once on entry and
+// decoded once on exit. With all set the root's result comes back down
+// the same tree on tag+1 and every rank returns it; otherwise root
+// returns it and the others nil. The accumulator is arena scratch, free
+// again once the copying sends have returned; an empty vector (the
+// barrier's) sends nil tokens and touches no buffer.
+func reduce[T word](c Comm, root, tag int, in []T, op ReduceOp, wc wordCodec[T], all bool) ([]T, error) {
+	t, err := newTree(c, root, reduceRadix)
+	if err != nil {
+		return nil, fmt.Errorf("reduce: %w", err)
+	}
+	var acc []byte
+	if len(in) > 0 {
+		var pb *PooledBuf
+		acc, pb = sharedArena.Acquire(8 * len(in))
+		defer pb.Release()
+		wc.encode(acc, in)
+	}
+	if err := up(t, tag, acc, wc, op); err != nil {
+		return nil, fmt.Errorf("reduce up: %w", err)
+	}
+	if !all {
+		if t.rel != 0 {
+			return nil, nil
+		}
+		return wc.decode(acc)
+	}
+	msg, err := t.down(tag+1, acc)
+	if err != nil {
+		return nil, fmt.Errorf("reduce down: %w", err)
+	}
+	defer msg.Release()
+	if t.rel != 0 {
+		acc = msg.Data
+	}
+	return wc.decode(acc)
+}
+
+// The four exported reductions are marked go:noinline: inlined into a
+// caller in another package, their call of the generic reduce loses its
+// escape information there, and the caller's input slice (typically a
+// one-element literal per CG dot product) would move to the heap on
+// every call.
+
+// ReduceFloat64s reduces equal-length vectors elementwise onto root.
+// Root returns the reduced vector; others return nil. The result is
+// bit-identical to a binomial-tree reduce (see wordCodec.fold).
+//
+//go:noinline
 func ReduceFloat64s(c Comm, root int, in []float64, op ReduceOp) ([]float64, error) {
-	size := c.Size()
-	rank := c.Rank()
-	if root < 0 || root >= size {
-		return nil, fmt.Errorf("reduce root %d: %w", root, ErrInvalidRank)
-	}
-	acc := append([]float64(nil), in...)
-	relative := (rank - root + size) % size
-	for mask := 1; mask < size; mask <<= 1 {
-		if relative&mask != 0 {
-			dst := (relative - mask + root) % size
-			scratch, pb := sharedArena.Acquire(8 * len(acc))
-			encodeFloat64sInto(scratch, acc)
-			err := c.Send(dst, tagReduce, scratch)
-			pb.Release()
-			if err != nil {
-				return nil, fmt.Errorf("reduce send: %w", err)
-			}
-			return nil, nil
-		}
-		if relative+mask < size {
-			src := (relative + mask + root) % size
-			msg, err := c.Recv(src, tagReduce)
-			if err != nil {
-				return nil, fmt.Errorf("reduce recv from %d: %w", src, err)
-			}
-			err = combineFloat64s(acc, msg.Data, op)
-			msg.Release()
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return acc, nil
+	return reduce(c, root, tagReduce, in, op, float64Words, false)
 }
 
-// AllreduceRDFloat64s is a recursive-doubling allreduce: log2(p) rounds
-// of pairwise exchange-and-combine, the latency-optimal algorithm real
-// MPI implementations use for short vectors. For non-power-of-two sizes
-// the excess ranks fold into partners first and receive the result last.
-// Note: unlike the tree-based AllreduceFloat64s, the combine order
-// differs per rank, so results are only bit-identical across ranks for
-// exactly associative operators (min/max, or sums of exactly
-// representable values); CG uses the tree form for bit determinism.
-// Every round encodes the accumulator into one reused scratch buffer
-// (sends are eager and copy at the transport boundary, so the scratch
-// may be overwritten the moment Send returns) and combines straight out
-// of the received wire buffer before releasing it — the log2(p) rounds
-// allocate nothing beyond the accumulator and scratch.
-func AllreduceRDFloat64s(c Comm, in []float64, op ReduceOp) ([]float64, error) {
-	size := c.Size()
-	rank := c.Rank()
-	acc := append([]float64(nil), in...)
-	scratch := make([]byte, 8*len(acc))
-
-	// Largest power of two ≤ size.
-	pow2 := 1
-	for pow2*2 <= size {
-		pow2 *= 2
-	}
-	rem := size - pow2
-
-	// Fold-in phase: ranks [pow2, size) send their vectors to
-	// rank - pow2 and sit out the doubling rounds.
-	const tagRD = TagCollectiveBase + 6*64
-	switch {
-	case rank >= pow2:
-		encodeFloat64sInto(scratch, acc)
-		if err := c.Send(rank-pow2, tagRD, scratch); err != nil {
-			return nil, err
-		}
-	case rank < rem:
-		msg, err := c.Recv(rank+pow2, tagRD)
-		if err != nil {
-			return nil, err
-		}
-		err = combineFloat64s(acc, msg.Data, op)
-		msg.Release()
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	if rank < pow2 {
-		for mask := 1; mask < pow2; mask <<= 1 {
-			partner := rank ^ mask
-			encodeFloat64sInto(scratch, acc)
-			if err := c.Send(partner, tagRD+1, scratch); err != nil {
-				return nil, err
-			}
-			msg, err := c.Recv(partner, tagRD+1)
-			if err != nil {
-				return nil, err
-			}
-			err = combineFloat64s(acc, msg.Data, op)
-			msg.Release()
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Fold-out phase: deliver the result to the excess ranks.
-	switch {
-	case rank < rem:
-		encodeFloat64sInto(scratch, acc)
-		if err := c.Send(rank+pow2, tagRD+2, scratch); err != nil {
-			return nil, err
-		}
-	case rank >= pow2:
-		msg, err := c.Recv(rank-pow2, tagRD+2)
-		if err != nil {
-			return nil, err
-		}
-		if len(msg.Data) != 8*len(acc) {
-			return nil, fmt.Errorf("allreduce-rd: result payload of %d bytes for %d elements",
-				len(msg.Data), len(acc))
-		}
-		for i := range acc {
-			acc[i] = math.Float64frombits(binary.LittleEndian.Uint64(msg.Data[8*i:]))
-		}
-		msg.Release()
-	}
-	return acc, nil
-}
-
-// AllreduceFloat64s reduces elementwise and distributes the result to all
-// ranks (reduce to rank 0, then broadcast). Rank 0 returns its reduced
-// vector; the others decode theirs out of the bcast message and release
-// it back to the arena.
+// AllreduceFloat64s reduces elementwise onto rank 0 and returns the
+// result on every rank, the same bits everywhere.
+//
+//go:noinline
 func AllreduceFloat64s(c Comm, in []float64, op ReduceOp) ([]float64, error) {
-	reduced, err := ReduceFloat64s(c, 0, in, op)
-	if err != nil {
-		return nil, err
-	}
-	var scratch []byte
-	var pb *PooledBuf
-	if c.Rank() == 0 {
-		scratch, pb = sharedArena.Acquire(8 * len(reduced))
-		encodeFloat64sInto(scratch, reduced)
-	}
-	msg, err := bcast(c, 0, scratch)
-	pb.Release()
-	if err != nil {
-		return nil, err
-	}
-	if c.Rank() == 0 {
-		return reduced, nil
-	}
-	defer msg.Release()
-	return decodeFloat64s(msg.Data)
+	return reduce(c, 0, tagReduce, in, op, float64Words, true)
 }
 
-// ReduceInt64s reduces equal-length int64 vectors elementwise onto root,
-// combining in place out of the wire buffers like ReduceFloat64s.
+// ReduceInt64s is ReduceFloat64s for int64 vectors.
+//
+//go:noinline
 func ReduceInt64s(c Comm, root int, in []int64, op ReduceOp) ([]int64, error) {
-	size := c.Size()
-	rank := c.Rank()
-	if root < 0 || root >= size {
-		return nil, fmt.Errorf("reduce root %d: %w", root, ErrInvalidRank)
-	}
-	acc := append([]int64(nil), in...)
-	relative := (rank - root + size) % size
-	for mask := 1; mask < size; mask <<= 1 {
-		if relative&mask != 0 {
-			dst := (relative - mask + root) % size
-			scratch, pb := sharedArena.Acquire(8 * len(acc))
-			encodeInt64sInto(scratch, acc)
-			err := c.Send(dst, tagReduce, scratch)
-			pb.Release()
-			if err != nil {
-				return nil, fmt.Errorf("reduce send: %w", err)
-			}
-			return nil, nil
-		}
-		if relative+mask < size {
-			src := (relative + mask + root) % size
-			msg, err := c.Recv(src, tagReduce)
-			if err != nil {
-				return nil, fmt.Errorf("reduce recv from %d: %w", src, err)
-			}
-			err = combineInt64s(acc, msg.Data, op)
-			msg.Release()
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return acc, nil
+	return reduce(c, root, tagReduce, in, op, int64Words, false)
 }
 
-// AllreduceInt64s reduces elementwise and distributes the result to all,
-// releasing the bcast message like AllreduceFloat64s.
+// AllreduceInt64s is AllreduceFloat64s for int64 vectors.
+//
+//go:noinline
 func AllreduceInt64s(c Comm, in []int64, op ReduceOp) ([]int64, error) {
-	reduced, err := ReduceInt64s(c, 0, in, op)
-	if err != nil {
-		return nil, err
-	}
-	var scratch []byte
-	var pb *PooledBuf
-	if c.Rank() == 0 {
-		scratch, pb = sharedArena.Acquire(8 * len(reduced))
-		encodeInt64sInto(scratch, reduced)
-	}
-	msg, err := bcast(c, 0, scratch)
-	pb.Release()
-	if err != nil {
-		return nil, err
-	}
-	if c.Rank() == 0 {
-		return reduced, nil
-	}
-	defer msg.Release()
-	return decodeInt64s(msg.Data)
-}
-
-func encodeFloat64s(xs []float64) []byte {
-	buf := make([]byte, 8*len(xs))
-	encodeFloat64sInto(buf, xs)
-	return buf
-}
-
-// encodeFloat64sInto serialises xs into the caller-provided buffer
-// (which must hold exactly 8*len(xs) bytes), letting multi-round
-// algorithms reuse one scratch buffer instead of allocating per round.
-func encodeFloat64sInto(buf []byte, xs []float64) {
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
-	}
-}
-
-// combineFloat64s folds an encoded float64 vector into acc elementwise,
-// reading straight from the wire buffer without an intermediate slice.
-func combineFloat64s(acc []float64, buf []byte, op ReduceOp) error {
-	if len(buf) != 8*len(acc) {
-		return fmt.Errorf("reduce: payload of %d bytes for %d elements", len(buf), len(acc))
-	}
-	for i := range acc {
-		acc[i] = op.applyFloat64(acc[i], math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:])))
-	}
-	return nil
-}
-
-// combineInt64s is combineFloat64s for int64 vectors.
-func combineInt64s(acc []int64, buf []byte, op ReduceOp) error {
-	if len(buf) != 8*len(acc) {
-		return fmt.Errorf("reduce: payload of %d bytes for %d elements", len(buf), len(acc))
-	}
-	for i := range acc {
-		acc[i] = op.applyInt64(acc[i], int64(binary.LittleEndian.Uint64(buf[8*i:])))
-	}
-	return nil
-}
-
-func decodeFloat64s(buf []byte) ([]float64, error) {
-	if len(buf)%8 != 0 {
-		return nil, fmt.Errorf("mpi: float64 payload of %d bytes", len(buf))
-	}
-	xs := make([]float64, len(buf)/8)
-	for i := range xs {
-		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return xs, nil
-}
-
-func encodeInt64s(xs []int64) []byte {
-	buf := make([]byte, 8*len(xs))
-	encodeInt64sInto(buf, xs)
-	return buf
-}
-
-// encodeInt64sInto is encodeFloat64sInto for int64 vectors.
-func encodeInt64sInto(buf []byte, xs []int64) {
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(x))
-	}
-}
-
-func decodeInt64s(buf []byte) ([]int64, error) {
-	if len(buf)%8 != 0 {
-		return nil, fmt.Errorf("mpi: int64 payload of %d bytes", len(buf))
-	}
-	xs := make([]int64, len(buf)/8)
-	for i := range xs {
-		xs[i] = int64(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return xs, nil
-}
-
-// packParts length-prefixes a slice of byte slices into one payload.
-func packParts(parts [][]byte) []byte {
-	buf := make([]byte, packedLen(parts))
-	packPartsInto(buf, parts)
-	return buf
+	return reduce(c, 0, tagReduce, in, op, int64Words, true)
 }
 
 // packedLen is the size of parts' packed encoding.

@@ -110,26 +110,26 @@ func FuzzCombineFloat64s(f *testing.F) {
 	f.Add(encodeFloat64s([]float64{-0.5}), uint8(1))
 	f.Add([]byte{1}, uint8(1))
 	f.Fuzz(func(t *testing.T, buf []byte, n uint8) {
-		acc := make([]float64, n)
-		for i := range acc {
-			if 8*(i+1) <= len(buf) {
-				acc[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-			}
-		}
-		orig := append([]float64(nil), acc...)
-		err := combineFloat64s(acc, buf, OpMax)
-		if (err == nil) != (len(buf) == 8*len(acc)) {
-			t.Fatalf("combine err=%v for %d bytes into %d elements", err, len(buf), len(acc))
+		acc := make([]byte, 8*int(n))
+		copy(acc, buf)
+		orig := append([]byte(nil), acc...)
+		err := float64Words.fold(acc, []Message{{Data: buf}}, OpMax)
+		if (err == nil) != (len(buf) == len(acc)) {
+			t.Fatalf("combine err=%v for %d bytes into %d elements", err, len(buf), n)
 		}
 		if err != nil {
+			if !bytes.Equal(acc, orig) {
+				t.Fatal("a rejected fold touched the accumulator")
+			}
 			return
 		}
-		for i := range acc {
-			if math.IsNaN(orig[i]) {
+		for off := 0; off < len(acc); off += 8 {
+			x := math.Float64frombits(binary.LittleEndian.Uint64(orig[off:]))
+			if math.IsNaN(x) {
 				continue
 			}
-			if acc[i] != orig[i] {
-				t.Fatalf("MAX(x, x) changed element %d: %v → %v", i, orig[i], acc[i])
+			if got := math.Float64frombits(binary.LittleEndian.Uint64(acc[off:])); got != x {
+				t.Fatalf("MAX(x, x) changed element %d: %v → %v", off/8, x, got)
 			}
 		}
 	})

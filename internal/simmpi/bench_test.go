@@ -250,10 +250,11 @@ func BenchmarkCG10kRanks(b *testing.B) {
 }
 
 // BenchmarkBarrierAllreduce100k is the headline scale gate: 100,000
-// virtual ranks complete a dissemination barrier and a global
-// sum-reduction, verifying the exact sum on every rank. ~17 barrier
-// rounds per rank plus the reduction tree exercises shard contention at
-// nearly 200 ranks per shard.
+// virtual ranks complete a tree barrier and a global sum-reduction,
+// verifying the exact sum on every rank. Each collective moves 2(p−1)
+// messages up and down the radix-8 tree, whose inner nodes each take 7
+// children, and exercises shard contention at nearly 200 ranks per
+// shard.
 func BenchmarkBarrierAllreduce100k(b *testing.B) {
 	const ranks = 100_000
 	want := float64(ranks) * float64(ranks+1) / 2

@@ -314,73 +314,55 @@ func TestSingleRankCollectives(t *testing.T) {
 	})
 }
 
-func TestAllreduceRecursiveDoubling(t *testing.T) {
-	// Power-of-two and non-power-of-two sizes, all operators.
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 12} {
-		n := n
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			runAll(t, n, func(c *Comm) error {
-				r := float64(c.Rank())
-				sum, err := mpi.AllreduceRDFloat64s(c, []float64{r, 1}, mpi.OpSum)
-				if err != nil {
-					return err
-				}
-				wantSum := float64(n*(n-1)) / 2
-				if sum[0] != wantSum || sum[1] != float64(n) {
-					return fmt.Errorf("sum = %v, want [%v %v]", sum, wantSum, float64(n))
-				}
-				mx, err := mpi.AllreduceRDFloat64s(c, []float64{r}, mpi.OpMax)
-				if err != nil {
-					return err
-				}
-				if mx[0] != float64(n-1) {
-					return fmt.Errorf("max = %v", mx)
-				}
-				mn, err := mpi.AllreduceRDFloat64s(c, []float64{r + 5}, mpi.OpMin)
-				if err != nil {
-					return err
-				}
-				if mn[0] != 5 {
-					return fmt.Errorf("min = %v", mn)
-				}
-				return nil
-			})
-		})
+// TestTreeCollectivesMessageCounts pins the traffic of the tree
+// collectives: Barrier and both Allreduces send exactly 2(p−1) messages
+// (every rank but the root once up the tree, every rank but the root
+// once down), Reduce and Bcast p−1, counted by the transport's
+// CountTracker.
+func TestTreeCollectivesMessageCounts(t *testing.T) {
+	collectives := []struct {
+		name string
+		run  func(c *Comm) error
+		msgs func(p int) int
+	}{
+		{"Barrier", func(c *Comm) error { return mpi.Barrier(c) }, func(p int) int { return 2 * (p - 1) }},
+		{"AllreduceFloat64s", func(c *Comm) error {
+			_, err := mpi.AllreduceFloat64s(c, []float64{1, 2}, mpi.OpSum)
+			return err
+		}, func(p int) int { return 2 * (p - 1) }},
+		{"AllreduceInt64s", func(c *Comm) error {
+			_, err := mpi.AllreduceInt64s(c, []int64{3}, mpi.OpMax)
+			return err
+		}, func(p int) int { return 2 * (p - 1) }},
+		{"ReduceFloat64s", func(c *Comm) error {
+			_, err := mpi.ReduceFloat64s(c, c.Size()/2, []float64{1}, mpi.OpSum)
+			return err
+		}, func(p int) int { return p - 1 }},
+		{"Bcast", func(c *Comm) error {
+			_, err := mpi.Bcast(c, c.Size()-1, []byte("x"))
+			return err
+		}, func(p int) int { return p - 1 }},
 	}
-}
-
-func TestAllreduceRDBackToBack(t *testing.T) {
-	const n = 6
-	runAll(t, n, func(c *Comm) error {
-		for iter := 1; iter <= 20; iter++ {
-			out, err := mpi.AllreduceRDFloat64s(c, []float64{float64(iter)}, mpi.OpSum)
-			if err != nil {
-				return err
+	for _, p := range []int{1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 100, 513, 4097} {
+		for _, coll := range collectives {
+			w := newTestWorld(t, p)
+			appErr, failures := w.Run(coll.run)
+			if appErr != nil || len(failures) != 0 {
+				t.Fatalf("%s p=%d: %v %v", coll.name, p, appErr, failures)
 			}
-			if out[0] != float64(iter*n) {
-				return fmt.Errorf("iter %d: %v", iter, out)
+			var sent uint64
+			for r := 0; r < p; r++ {
+				c, err := w.Comm(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, n := range c.SentCounts() {
+					sent += n
+				}
+			}
+			if want := coll.msgs(p); sent != uint64(want) {
+				t.Errorf("%s p=%d sent %d messages, want %d", coll.name, p, sent, want)
 			}
 		}
-		return nil
-	})
-}
-
-func TestAllreduceRDMatchesTreeForm(t *testing.T) {
-	const n = 5
-	runAll(t, n, func(c *Comm) error {
-		in := []float64{float64(c.Rank() + 1)}
-		tree, err := mpi.AllreduceFloat64s(c, in, mpi.OpSum)
-		if err != nil {
-			return err
-		}
-		rd, err := mpi.AllreduceRDFloat64s(c, in, mpi.OpSum)
-		if err != nil {
-			return err
-		}
-		// Small integer sums are exact under any association order.
-		if tree[0] != rd[0] {
-			return fmt.Errorf("tree %v vs recursive doubling %v", tree, rd)
-		}
-		return nil
-	})
+	}
 }

@@ -218,7 +218,7 @@ func TestScaleStressConservation(t *testing.T) {
 }
 
 // TestBarrier10k is the CI large-N smoke: 10,000 ranks complete a
-// dissemination barrier followed by a verified global sum. Run under
+// tree barrier followed by a verified global sum. Run under
 // -race in the scale job, it sweeps every shard's deposit/wake path with
 // the detector watching; the exact-sum check catches any message that
 // went missing or doubled along the reduction tree.

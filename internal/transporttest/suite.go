@@ -11,6 +11,7 @@ package transporttest
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -26,6 +27,7 @@ func RunSuite(t *testing.T, factory Factory) {
 	t.Run("Ordering", func(t *testing.T) { testOrdering(t, factory) })
 	t.Run("Wildcard", func(t *testing.T) { testWildcard(t, factory) })
 	t.Run("Collective", func(t *testing.T) { testCollective(t, factory) })
+	t.Run("CollectiveBits", func(t *testing.T) { testCollectiveBits(t, factory) })
 	t.Run("RequestSet", func(t *testing.T) { testRequestSet(t, factory) })
 	t.Run("QueuedBeforeDeath", func(t *testing.T) { testQueuedBeforeDeath(t, factory) })
 	t.Run("KillSemantics", func(t *testing.T) { testKillSemantics(t, factory) })
@@ -168,6 +170,92 @@ func testCollective(t *testing.T, factory Factory) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// testCollectiveBits pins the reductions' combine order on the wire:
+// Barrier, an Allreduce and a Reduce at every root over 11 ranks (a
+// two-level radix-8 tree) give exactly the bits of the binomial combine
+// order, computed here in one place, so every backend gives the same
+// bits.
+func testCollectiveBits(t *testing.T, factory Factory) {
+	const n = 11
+	in := make([][]float64, n)
+	for r := range in {
+		// Magnitudes spanning 30 decades, so each sum rounds and a
+		// different combine order shows in the bits.
+		in[r] = []float64{math.Pow(10, float64(3*r%31-15)) * (1 + float64(r)/7), -1 / float64(r+3)}
+	}
+	tr := factory(t, n)
+	errs := make(chan error, n)
+	for r := 0; r < n; r++ {
+		go func(rank int) {
+			errs <- func() error {
+				c, err := tr.Endpoint(rank)
+				if err != nil {
+					return err
+				}
+				if err := mpi.Barrier(c); err != nil {
+					return fmt.Errorf("rank %d barrier: %w", rank, err)
+				}
+				out, err := mpi.AllreduceFloat64s(c, in[rank], mpi.OpSum)
+				if err != nil {
+					return fmt.Errorf("rank %d allreduce: %w", rank, err)
+				}
+				if err := sameBits(out, binomialSum(in, 0)); err != nil {
+					return fmt.Errorf("rank %d allreduce: %w", rank, err)
+				}
+				for root := 0; root < n; root++ {
+					out, err := mpi.ReduceFloat64s(c, root, in[rank], mpi.OpSum)
+					if err != nil {
+						return fmt.Errorf("rank %d reduce to %d: %w", rank, root, err)
+					}
+					if rank != root {
+						continue
+					}
+					if err := sameBits(out, binomialSum(in, root)); err != nil {
+						return fmt.Errorf("reduce to %d: %w", root, err)
+					}
+				}
+				return mpi.Barrier(c)
+			}()
+		}(r)
+	}
+	for r := 0; r < n; r++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// binomialSum sums the ranks' vectors onto root in the binomial tree's
+// order: relative rank rel adds in rel+mask's partial sum, its own on the
+// left, for mask = 1, 2, 4, ….
+func binomialSum(in [][]float64, root int) []float64 {
+	n := len(in)
+	acc := make([][]float64, n)
+	for rel := range acc {
+		acc[rel] = append([]float64(nil), in[(rel+root)%n]...)
+	}
+	for mask := 1; mask < n; mask <<= 1 {
+		for rel := 0; rel+mask < n; rel += 2 * mask {
+			for i := range acc[rel] {
+				acc[rel][i] += acc[rel+mask][i]
+			}
+		}
+	}
+	return acc[0]
+}
+
+func sameBits(got, want []float64) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("got %v, want %v", got, want)
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return fmt.Errorf("element %d: got %x, want %x", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+	return nil
 }
 
 // testRequestSet covers the non-blocking API: post-then-waitall with
