@@ -191,41 +191,27 @@ func TestEncodingLayoutUnchanged(t *testing.T) {
 	}
 }
 
-// BenchmarkCGStepAssembly times one rank's per-step vector work in CG on
-// Laplacian2D(96) at 8 ranks: encode its block, assemble the search
-// direction from every rank's part, and multiply its row block. The
-// window case decodes the 1344 columns the block references; the full
-// case decodes all 9216.
-func BenchmarkCGStepAssembly(b *testing.B) {
-	m, err := Laplacian2D(96)
-	if err != nil {
-		b.Fatal(err)
+// assembleVec is the halo exchange's oracle, the assembly CG ran before
+// it exchanged point to point: it lays the encoded parts, in rank order,
+// end to end over full (length n), decoding only the column window
+// [clo, chi); entries of full outside it are unspecified. Every part's
+// length header, and their total against n, are checked, so a malformed
+// part is rejected wherever it lies.
+func assembleVec(parts [][]byte, clo, chi int, full []float64) error {
+	n := len(full)
+	off := 0
+	for _, part := range parts {
+		m, src, err := vecPayload(part)
+		if err != nil {
+			return err
+		}
+		if lo, hi := max(off, clo), min(off+m, chi, n); lo < hi {
+			decodeFloats(full[lo:hi], src[8*(lo-off):])
+		}
+		off += m
 	}
-	const ranks, rank = 8, 3
-	x := testVec(m.N)
-	parts := encodeParts(x, ranks)
-	lo, hi := RowRange(m.N, rank, ranks)
-	clo, chi := m.ColumnSpan(lo, hi)
-	for _, bc := range []struct {
-		name     string
-		clo, chi int
-	}{{"window", clo, chi}, {"full", 0, m.N}} {
-		b.Run(bc.name, func(b *testing.B) {
-			full := make([]float64, m.N)
-			ap := make([]float64, hi-lo)
-			var sendBuf []byte
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sendBuf = appendEncodedVec(sendBuf[:0], x[lo:hi])
-				parts[rank] = sendBuf
-				if err := assembleVec(parts, bc.clo, bc.chi, full); err != nil {
-					b.Fatal(err)
-				}
-				if err := m.MulRows(lo, hi, full, ap); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	if off != n {
+		return fmt.Errorf("apps: assembled %d of %d entries", off, n)
 	}
+	return nil
 }

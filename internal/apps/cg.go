@@ -9,13 +9,20 @@ import (
 )
 
 // CG is the conjugate-gradient benchmark: it solves A·x = b for a sparse
-// SPD matrix with rows partitioned contiguously across ranks, using
-// allreduce for the dot products and allgather to assemble the full
-// iterate for the matrix-vector product — the communication-heavy,
-// irregular pattern the paper picked NPB CG for. Like the paper's
-// modified benchmark, the solve is repeated Repeats times to extend the
-// run ("repeating the computation performed between MPI_Init() and
-// MPI_Finalize() n number of times").
+// SPD matrix with rows partitioned contiguously across ranks — the
+// communication-heavy pattern the paper picked NPB CG for. Each
+// iteration runs two allreduces for the dot products and one
+// point-to-point halo exchange for the matrix-vector product: as in NPB
+// CG, a rank sends each peer only the entries of its block of the search
+// direction that the peer's rows reference, and receives only the
+// entries its own rows reference (see haloPlan). The plan comes from the
+// matrix, built once per Run from one allgather of every rank's column
+// window: a banded matrix gives each rank a couple of neighbours, and a
+// matrix whose rows reach every column degenerates to every rank sending
+// its whole block to every other. Like the paper's modified benchmark,
+// the solve is repeated Repeats times to extend the run ("repeating the
+// computation performed between MPI_Init() and MPI_Finalize() n number
+// of times").
 //
 // The result is bit-deterministic for a fixed virtual size: reductions
 // run over a fixed radix-8 tree with the binomial combine order, so every
@@ -140,20 +147,19 @@ func (cg *CG) Run(ctx *Context) error {
 	if repeats <= 0 {
 		repeats = 1
 	}
-	// The matvec reads only the columns its row block references, so the
-	// assembly decodes only those.
-	clo, chi := cg.Matrix.ColumnSpan(lo, hi)
-	full := make([]float64, n)
+	halo, err := newHaloPlan(c, cg.Matrix, lo, hi)
+	if err != nil {
+		return err
+	}
 	ap := make([]float64, local)
-	var sendBuf []byte
 	snapshot := func() []byte { return snapshotCG(state) }
 	globalStep := state.repeat*cg.Iterations + state.iter
 	for ; state.repeat < repeats; state.repeat++ {
 		for ; state.iter < cg.Iterations; state.iter++ {
 			// Assemble the search direction's column window for the matvec.
-			sendBuf = appendEncodedVec(sendBuf[:0], state.p)
-			if gerr := allgatherVec(c, sendBuf, clo, chi, full); gerr != nil {
-				return gerr
+			full, herr := halo.exchange(c, state.p)
+			if herr != nil {
+				return herr
 			}
 			if merr := cg.Matrix.MulRows(lo, hi, full, ap); merr != nil {
 				return merr
@@ -295,37 +301,4 @@ func appendDecodedVec(dst []float64, buf []byte) ([]float64, error) {
 	dst = slices.Grow(dst, n)
 	decodeFloats(dst[len(dst):len(dst)+n], src)
 	return dst[:len(dst)+n], nil
-}
-
-// allgatherVec assembles the distributed vector whose local block is
-// encoded in data into full (see assembleVec), decoding out of the
-// transport buffers before Allgather releases them.
-func allgatherVec(c mpi.Comm, data []byte, clo, chi int, full []float64) error {
-	return mpi.Allgather(c, data, func(parts [][]byte) error {
-		return assembleVec(parts, clo, chi, full)
-	})
-}
-
-// assembleVec lays the encoded parts, in rank order, end to end over
-// full (length n), decoding only the column window [clo, chi): entries
-// of full outside it are unspecified. Every part's length header, and
-// their total against n, are still checked, so a malformed part is
-// rejected wherever it lies.
-func assembleVec(parts [][]byte, clo, chi int, full []float64) error {
-	n := len(full)
-	off := 0
-	for _, part := range parts {
-		m, src, err := vecPayload(part)
-		if err != nil {
-			return err
-		}
-		if lo, hi := max(off, clo), min(off+m, chi, n); lo < hi {
-			decodeFloats(full[lo:hi], src[8*(lo-off):])
-		}
-		off += m
-	}
-	if off != n {
-		return fmt.Errorf("apps: assembled %d of %d entries", off, n)
-	}
-	return nil
 }

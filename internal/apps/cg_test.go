@@ -355,3 +355,59 @@ func ExampleCG() {
 	fmt.Printf("checksum ≈ %.0f\n", checksum)
 	// Output: checksum ≈ 16
 }
+
+// TestCGAnswersPinned holds CG's answer bits to those of the allgather
+// assembly the halo exchange replaced, at redundancy degrees 1 and 2 on
+// a banded matrix and on one whose plan is all-to-all.
+func TestCGAnswersPinned(t *testing.T) {
+	lap, err := Laplacian2D(96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	random, err := RandomSPD(300, 12, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name               string
+		m                  *CSRMatrix
+		ranks, iters       int
+		degree             float64
+		checksum, residual uint64
+	}{
+		{"laplacian96/r1", lap, 8, 400, 1, 0x40c1fffffffffffe, 0x3ba6fc813739a0ed},
+		{"laplacian96/r2", lap, 8, 400, 2, 0x40c1fffffffffffe, 0x3ba6fc813739a0ed},
+		{"random300", random, 5, 50, 1, 0x4072c00000000000, 0x38327ce80b467bb7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rm, err := redundancy.NewRankMap(tc.ranks, tc.degree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := simmpi.NewWorld(rm.PhysicalSize())
+			if err != nil {
+				t.Fatal(err)
+			}
+			appErr, failures := w.Run(func(pc *simmpi.Comm) error {
+				rc, err := redundancy.Wrap(pc, rm, mpi.WithLiveness(w))
+				if err != nil {
+					return err
+				}
+				app := &CG{Matrix: tc.m, Iterations: tc.iters}
+				if err := app.Run(&Context{Comm: rc}); err != nil {
+					return err
+				}
+				if got := math.Float64bits(app.Checksum); got != tc.checksum {
+					return fmt.Errorf("checksum %#x, want %#x", got, tc.checksum)
+				}
+				if got := math.Float64bits(app.ResidualNorm); got != tc.residual {
+					return fmt.Errorf("residual norm %#x, want %#x", got, tc.residual)
+				}
+				return nil
+			})
+			if appErr != nil || len(failures) != 0 {
+				t.Fatalf("app error %v, failures %v", appErr, failures)
+			}
+		})
+	}
+}

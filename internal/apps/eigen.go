@@ -100,10 +100,14 @@ func (e *Eigen) Run(ctx *Context) error {
 		state = restored
 	}
 
+	halo, err := newHaloPlan(c, e.Matrix, lo, hi)
+	if err != nil {
+		return err
+	}
 	snapshot := func() []byte { return snapshotEigen(state) }
 	for ; state.outer < e.OuterIterations; state.outer++ {
 		// Solve A·z = x with CG (inner iterations, warm zero start).
-		z, err := e.cgSolve(ctx, lo, hi, state.x)
+		z, err := e.cgSolve(ctx, halo, state.x)
 		if err != nil {
 			return err
 		}
@@ -135,10 +139,11 @@ func snapshotEigen(s *eigenState) []byte {
 	return snap.encode()
 }
 
-// cgSolve runs InnerIterations of CG for A·z = b (local row block b).
-func (e *Eigen) cgSolve(ctx *Context, lo, hi int, b []float64) ([]float64, error) {
+// cgSolve runs InnerIterations of CG for A·z = b (local row block b),
+// exchanging the search direction through the Run's halo plan.
+func (e *Eigen) cgSolve(ctx *Context, halo *haloPlan, b []float64) ([]float64, error) {
 	c := ctx.Comm
-	n := e.Matrix.N
+	lo, hi := halo.lo, halo.hi
 	local := hi - lo
 	z := make([]float64, local)
 	r := append([]float64(nil), b...)
@@ -148,12 +153,9 @@ func (e *Eigen) cgSolve(ctx *Context, lo, hi int, b []float64) ([]float64, error
 		return nil, err
 	}
 	ap := make([]float64, local)
-	clo, chi := e.Matrix.ColumnSpan(lo, hi)
-	full := make([]float64, n)
-	var sendBuf []byte
 	for iter := 0; iter < e.InnerIterations && rho > 1e-28; iter++ {
-		sendBuf = appendEncodedVec(sendBuf[:0], p)
-		if err := allgatherVec(c, sendBuf, clo, chi, full); err != nil {
+		full, err := halo.exchange(c, p)
+		if err != nil {
 			return nil, err
 		}
 		if err := e.Matrix.MulRows(lo, hi, full, ap); err != nil {

@@ -49,9 +49,9 @@ func rankLoop(t *testing.T, w *simmpi.World, step func(c mpi.Comm) func() error)
 	}
 }
 
-// TestAllgatherCGShapedSteadyStateAllocs pins CG's per-step allgather:
-// 8 ranks each contribute a 9.2 KB block, so the packed payload root
-// broadcasts is ≈74 KB. Every gather and bcast buffer comes from the
+// TestAllgatherCGShapedSteadyStateAllocs pins an allgather of CG-sized
+// blocks: 8 ranks each contribute a 9.2 KB block, so the packed payload
+// root broadcasts is ≈74 KB. Every gather and bcast buffer comes from the
 // arena and goes back to it when the callback returns, and each rank
 // decodes the parts straight onto its reused full vector, so a warm
 // round trip allocates only the per-call bookkeeping (the unpacked part

@@ -31,10 +31,10 @@ const (
 	// barrier tokens all fit).
 	arenaMinClass = 64
 	// arenaMaxClass bounds pooled buffers; beyond it the arena falls
-	// back to plain allocation. 128 KiB holds CG's packed allgather
-	// payload (8 ranks × 9.2 KB ≈ 74 KB plus wire header), the largest
-	// per-step message of the benchmark apps; at 64 KiB every hop of it
-	// allocated afresh and the replica fan-out copied it per replica.
+	// back to plain allocation. 128 KiB holds an 8-rank allgather of
+	// CG-sized blocks (8 × 9.2 KB ≈ 74 KB plus wire header); at 64 KiB
+	// every hop of such a payload allocated afresh and the replica
+	// fan-out copied it per replica.
 	arenaMaxClass = 128 * 1024
 	arenaClasses  = 12 // 64 << 11 == 128 KiB
 )

@@ -37,9 +37,9 @@ func TestArenaOversizedFallback(t *testing.T) {
 }
 
 // TestArenaTopClassPools covers the 128 KiB top class: a payload between
-// 64 KiB and 128 KiB (CG's packed allgather) gets a pooled handle whose
-// buffer recycles, where the old 64 KiB cap fell back to plain
-// allocation.
+// 64 KiB and 128 KiB (an 8-rank allgather of CG-sized blocks) gets a
+// pooled handle whose buffer recycles, where the old 64 KiB cap fell
+// back to plain allocation.
 func TestArenaTopClassPools(t *testing.T) {
 	a := NewArena()
 	const n = 80 << 10

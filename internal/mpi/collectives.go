@@ -25,10 +25,11 @@ const (
 // Tree radices. Reductions and the barrier move at most a few words per
 // hop, so their cost is the hops on the critical path: radix 8 makes an
 // 8-rank allreduce two hops (up, then down) where the binomial tree took
-// six. A bcast hop copies its whole payload (CG's packed allgather is
-// ≈74 KB), and under redundancy compares it replica against replica, so
-// Bcast keeps the binomial tree, which spreads those copies over the
-// ranks instead of serialising seven of them at the root.
+// six. A bcast hop copies its whole payload (an 8-rank allgather of
+// CG-sized blocks is ≈74 KB), and under redundancy compares it replica
+// against replica, so Bcast keeps the binomial tree, which spreads those
+// copies over the ranks instead of serialising seven of them at the
+// root.
 const (
 	reduceRadix = 8
 	bcastRadix  = 2

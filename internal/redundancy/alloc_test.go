@@ -104,11 +104,11 @@ func TestDegree2IsendFanoutAllocs(t *testing.T) {
 	}
 }
 
-// TestDegree2LargePayloadSharesFanout sends an 80 KB payload — CG's
-// packed allgather size class, above the arena's old 64 KiB cap — at
-// degree 2: every physical send must ride the shared pooled buffer
-// (simmpi_copies_elided_total counts each one) instead of a per-replica
-// deep copy.
+// TestDegree2LargePayloadSharesFanout sends an 80 KB payload — the size
+// of an 8-rank allgather of CG-sized blocks, above the arena's old
+// 64 KiB cap — at degree 2: every physical send must ride the shared
+// pooled buffer (simmpi_copies_elided_total counts each one) instead of
+// a per-replica deep copy.
 func TestDegree2LargePayloadSharesFanout(t *testing.T) {
 	reg := obs.NewRegistry()
 	w, err := simmpi.NewWorld(4, mpi.WithObs(reg))

@@ -484,6 +484,45 @@ func TestRunCollectsAppError(t *testing.T) {
 	}
 }
 
+func TestRunAbortsOnAppError(t *testing.T) {
+	w := newTestWorld(t, 3)
+	boom := fmt.Errorf("app exploded")
+	type result struct {
+		appErr   error
+		failures []RankError
+	}
+	done := make(chan result, 1)
+	go func() {
+		appErr, failures := w.Run(func(c *Comm) error {
+			if c.Rank() == 1 {
+				return boom
+			}
+			_, err := mpi.AllreduceFloat64s(c, []float64{1}, mpi.OpSum)
+			return err
+		})
+		done <- result{appErr, failures}
+	}()
+	var res result
+	select {
+	case res = <-done:
+	case <-time.After(10 * time.Second):
+		// The ranks stay blocked, so the world is left to the GC.
+		t.Fatal("Run still waiting 10 s after rank 1 returned an error")
+	}
+	var re RankError
+	if !errors.As(res.appErr, &re) || re.Rank != 1 || !errors.Is(res.appErr, boom) {
+		t.Fatalf("appErr = %v, want rank 1's error", res.appErr)
+	}
+	if len(res.failures) != 2 {
+		t.Fatalf("failures = %v, want ranks 0 and 2 aborted", res.failures)
+	}
+	for _, f := range res.failures {
+		if f.Rank == 1 || !errors.Is(f.Err, mpi.ErrAborted) {
+			t.Fatalf("failure %v, want mpi.ErrAborted on rank 0 or 2", f)
+		}
+	}
+}
+
 func TestRunSeparatesFailureErrors(t *testing.T) {
 	w := newTestWorld(t, 2)
 	w.Kill(1)

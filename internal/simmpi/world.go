@@ -383,6 +383,10 @@ func (e RankError) Unwrap() error { return e.Err }
 // kills and aborts (mpi.ErrKilled, mpi.ErrPeerDead, mpi.ErrAborted) are
 // expected under failure injection and reported via the second return
 // value instead.
+//
+// A real failure aborts the world at once: its peers may be blocked on
+// a message the failed rank will never send, so they unwind with
+// mpi.ErrAborted, which Run reports among the failures.
 func (w *World) Run(fn func(c *Comm) error) (appErr error, failureErrs []RankError) {
 	errs := make([]error, w.size)
 	var wg sync.WaitGroup
@@ -390,7 +394,11 @@ func (w *World) Run(fn func(c *Comm) error) (appErr error, failureErrs []RankErr
 	for i := 0; i < w.size; i++ {
 		go func(rank int) {
 			defer wg.Done()
-			errs[rank] = fn(w.comms[rank])
+			err := fn(w.comms[rank])
+			errs[rank] = err
+			if err != nil && !isFailureErr(err) {
+				w.Abort()
+			}
 		}(i)
 	}
 	wg.Wait()

@@ -1,6 +1,6 @@
 // Package transporttest is the conformance suite every mpi.Transport
 // backend must pass: the send/recv ordering law, wildcard receives,
-// collective round trips, fail-stop kill semantics (including the
+// collective round trips, CG's answer bits, fail-stop kill semantics (including the
 // match-first rule — a message queued before its sender died is still
 // delivered), and the Interrupt → Revive → Resume epoch protocol. The
 // simulated backend (simmpi) and the socket backend (procmpi) run the
@@ -15,7 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/mpi"
+	"repro/internal/simmpi"
 )
 
 // Factory builds a transport of n physical ranks for one test; register
@@ -28,6 +30,7 @@ func RunSuite(t *testing.T, factory Factory) {
 	t.Run("Wildcard", func(t *testing.T) { testWildcard(t, factory) })
 	t.Run("Collective", func(t *testing.T) { testCollective(t, factory) })
 	t.Run("CollectiveBits", func(t *testing.T) { testCollectiveBits(t, factory) })
+	t.Run("CGBits", func(t *testing.T) { testCGBits(t, factory) })
 	t.Run("RequestSet", func(t *testing.T) { testRequestSet(t, factory) })
 	t.Run("QueuedBeforeDeath", func(t *testing.T) { testQueuedBeforeDeath(t, factory) })
 	t.Run("KillSemantics", func(t *testing.T) { testKillSemantics(t, factory) })
@@ -256,6 +259,84 @@ func sameBits(got, want []float64) error {
 		}
 	}
 	return nil
+}
+
+// testCGBits runs apps.CG on the backend and on simmpi and checks every
+// rank's answer bits agree: on a banded matrix, whose halo plan moves
+// one grid row to each neighbour, and on one whose rows reach into every
+// rank's block, so every rank sends to every other.
+func testCGBits(t *testing.T, factory Factory) {
+	lap, err := apps.Laplacian2D(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	random, err := apps.RandomSPD(40, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 5; r++ {
+		clo, chi := random.ColumnSpan(apps.RowRange(random.N, r, 5))
+		for q := 0; q < 5; q++ {
+			if lo, hi := apps.RowRange(random.N, q, 5); max(lo, clo) >= min(hi, chi) {
+				t.Fatalf("RandomSPD rank %d's window [%d, %d) misses rank %d's block [%d, %d)", r, clo, chi, q, lo, hi)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		m     *apps.CSRMatrix
+		ranks int
+	}{{"banded", lap, 4}, {"all-to-all", random, 5}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref, err := simmpi.NewWorld(tc.ranks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := runCGBits(t, ref, tc.m)
+			got := runCGBits(t, factory(t, tc.ranks), tc.m)
+			for r := range want {
+				if got[r] != want[r] {
+					t.Errorf("rank %d: (checksum, residual) bits %#x, simmpi gives %#x", r, got[r], want[r])
+				}
+			}
+		})
+	}
+}
+
+// runCGBits runs a 25-iteration CG on m over every rank of tr and
+// returns each rank's checksum and residual-norm bits. A rank that
+// fails aborts the transport, so its peers cannot wait on it forever.
+func runCGBits(t *testing.T, tr mpi.Transport, m *apps.CSRMatrix) [][2]uint64 {
+	t.Helper()
+	n := tr.Size()
+	out := make([][2]uint64, n)
+	errs := make(chan error, n)
+	for r := 0; r < n; r++ {
+		go func(rank int) {
+			err := func() error {
+				c, err := tr.Endpoint(rank)
+				if err != nil {
+					return err
+				}
+				app := &apps.CG{Matrix: m, Iterations: 25}
+				if err := app.Run(&apps.Context{Comm: c}); err != nil {
+					return fmt.Errorf("rank %d: %w", rank, err)
+				}
+				out[rank] = [2]uint64{math.Float64bits(app.Checksum), math.Float64bits(app.ResidualNorm)}
+				return nil
+			}()
+			if err != nil {
+				tr.Abort()
+			}
+			errs <- err
+		}(r)
+	}
+	for r := 0; r < n; r++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }
 
 // testRequestSet covers the non-blocking API: post-then-waitall with
