@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"strconv"
 	"strings"
 	"time"
@@ -25,7 +26,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/obs"
-	"repro/internal/procmpi"
 	"repro/internal/redundancy"
 )
 
@@ -40,14 +40,14 @@ func main() {
 // steps can tell a job that exhausted its restart budget (3) apart from
 // usage or I/O errors (1).
 func exitCode(err error) int {
-	if errors.Is(err, core.ErrRestartsExhausted) || errors.Is(err, procmpi.ErrRestartsExhausted) {
+	if errors.Is(err, core.ErrRestartsExhausted) {
 		return 3
 	}
 	return 1
 }
 
 func errorMessage(err error) string {
-	if errors.Is(err, core.ErrRestartsExhausted) || errors.Is(err, procmpi.ErrRestartsExhausted) {
+	if errors.Is(err, core.ErrRestartsExhausted) {
 		return "job unrecoverable: " + err.Error()
 	}
 	return err.Error()
@@ -132,35 +132,6 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown -recovery %q (restart | shrink)", *recovery)
 	}
-	pf := procFlags{
-		appName:  *appName,
-		np:       *np,
-		degree:   *degree,
-		mode:     *mode,
-		interval: *interval,
-		restarts: *restarts,
-		recovery: *recovery,
-		seed:     *seed,
-		ckptDir:  *ckptDir,
-		grid:     *grid,
-		iters:    *iters,
-		compute:  *compute,
-		timeout:  *timeout,
-		compress: *compress,
-		shards:   *shards,
-		corrupt:  *corrupt,
-		listen:   *listenAt,
-
-		scheduleOnce: *killOnce,
-		stepKills:    *killStep,
-		mtbf:         *mtbf,
-
-		peerShards:     *peerSh,
-		peerBudget:     *peerBudg,
-		partialRestart: *partialR,
-		asyncCkpt:      *asyncCkpt,
-		sendLatency:    *sendLat,
-	}
 	peerData, peerParity := 0, 0
 	if *peerSh != "" {
 		var perr error
@@ -169,12 +140,8 @@ func run(args []string) error {
 			return perr
 		}
 	}
-	if *procRank >= 0 {
-		// Worker re-exec path: this process IS one physical rank.
-		if *procConnect == "" {
-			return fmt.Errorf("-proc-worker-rank requires -proc-connect")
-		}
-		return runProcWorker(pf, *procRank, *procNetwork, *procConnect, factory)
+	if *procRank >= 0 && *procConnect == "" {
+		return fmt.Errorf("-proc-worker-rank requires -proc-connect")
 	}
 	cfg := core.Config{
 		Ranks:            *np,
@@ -221,6 +188,59 @@ func run(args []string) error {
 
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
+	switch *mode {
+	case "all":
+		cfg.Mode = redundancy.AllToAll
+	case "hash":
+		cfg.Mode = redundancy.MsgPlusHash
+	default:
+		return fmt.Errorf("unknown mode %q", *mode)
+	}
+	if *ckptDir != "" {
+		store, err := checkpoint.NewFileStorage(*ckptDir)
+		if err != nil {
+			return err
+		}
+		cfg.Storage = store
+	}
+	if *compress {
+		inner := cfg.Storage
+		if inner == nil {
+			inner = checkpoint.NewMemStorage()
+		}
+		cfg.Storage = &checkpoint.CompressedStorage{Inner: inner, Obs: reg, Shards: *shards}
+	} else if *shards > 1 {
+		return fmt.Errorf("-compress-shards requires -compress")
+	}
+	if *procRank >= 0 {
+		// Worker re-exec path: this process is one physical rank of the
+		// parent's job, built from the same flags.
+		return core.RunRank(cfg, *procRank, *procNetwork, *procConnect, factory, func(app apps.App) {
+			fmt.Println("result:", describe(app))
+		})
+	}
+	if *transport == "proc" {
+		exe, err := os.Executable()
+		if err != nil {
+			return err
+		}
+		cfg.Listen = *listenAt
+		cfg.Spawn = func(attempt, rank int, network, addr string) (*os.Process, error) {
+			// A worker runs with this run's own arguments (not os.Args,
+			// so a test binary can stand in for redmpirun) plus its
+			// identity; its output goes where ours does.
+			argv := append(args[:len(args):len(args)], "-proc-worker-rank", strconv.Itoa(rank),
+				"-proc-connect", addr, "-proc-network", network)
+			cmd := exec.Command(exe, argv...)
+			cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
+			if err := cmd.Start(); err != nil {
+				return nil, err
+			}
+			// Scripts that SIGKILL a worker from outside read its PID here.
+			fmt.Printf("proc: attempt %d rank %d pid=%d\n", attempt, rank, cmd.Process.Pid)
+			return cmd.Process, nil
+		}
+	}
 	if *flightCk != "logical" && *flightCk != "mono" {
 		return fmt.Errorf("unknown -flight-clock %q (logical | mono)", *flightCk)
 	}
@@ -252,69 +272,42 @@ func run(args []string) error {
 			}
 		}()
 	}
-	switch *mode {
-	case "all":
-		cfg.Mode = redundancy.AllToAll
-	case "hash":
-		cfg.Mode = redundancy.MsgPlusHash
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
-	}
-	if *ckptDir != "" {
-		store, err := checkpoint.NewFileStorage(*ckptDir)
-		if err != nil {
-			return err
-		}
-		cfg.Storage = store
-	}
-	if *compress {
-		inner := cfg.Storage
-		if inner == nil {
-			inner = checkpoint.NewMemStorage()
-		}
-		cfg.Storage = &checkpoint.CompressedStorage{Inner: inner, Obs: reg, Shards: *shards}
-	} else if *shards > 1 {
-		return fmt.Errorf("-compress-shards requires -compress")
-	}
-
 	fmt.Printf("launching %s: N=%d r=%g (%d physical ranks under Eq. 8)\n",
 		*appName, *np, *degree, mustPhysical(*np, *degree))
-	if *transport == "proc" {
-		pf.schedule = cfg.FailureSchedule
-		runErr := runProcJob(pf, reg, rec, cfg.RankView)
-		if *metricsF != "" {
-			snap := reg.Snapshot()
-			if err := writeMetrics(*metricsF, snap); err != nil {
-				return err
-			}
-			fmt.Print(snap.Format())
-		}
-		if *flightF != "" {
-			if err := writeFlight(*flightF, rec); err != nil {
-				return err
-			}
-		}
-		return runErr
-	}
 	start := time.Now()
 	res, runErr := core.Run(cfg, factory)
-	fmt.Printf("completed=%v wallclock=%v attempts=%d failures=%d checkpoints=%d\n",
+	// Checkpoint and redundancy-layer counts live in the worker processes
+	// of a proc job; the parent prints no zeros for them.
+	local := cfg.Spawn == nil
+	fmt.Printf("completed=%v wallclock=%v attempts=%d failures=%d",
 		res.Completed, time.Since(start).Round(time.Millisecond),
-		len(res.Attempts), res.TotalFailures, res.TotalCheckpoints)
-	for _, at := range res.Attempts {
-		fmt.Printf("  attempt %d: elapsed=%v failures=%d jobFailed=%v restored=%v checkpoints=%d partials=%d\n",
-			at.Index, at.Elapsed.Round(time.Millisecond), at.Failures, at.JobFailed, at.Restored, at.Checkpoints, at.PartialRestarts)
+		len(res.Attempts), res.TotalFailures)
+	if local {
+		fmt.Printf(" checkpoints=%d", res.TotalCheckpoints)
 	}
-	if cfg.PeerTier() {
+	fmt.Println()
+	for _, at := range res.Attempts {
+		fmt.Printf("  attempt %d: elapsed=%v failures=%d jobFailed=%v",
+			at.Index, at.Elapsed.Round(time.Millisecond), at.Failures, at.JobFailed)
+		if local {
+			fmt.Printf(" restored=%v checkpoints=%d partials=%d", at.Restored, at.Checkpoints, at.PartialRestarts)
+		}
+		fmt.Println()
+	}
+	switch {
+	case cfg.PeerTier():
 		fmt.Printf("recovery: partial-restarts=%d full-restarts=%d recomputed-steps=%d\n",
 			res.PartialRestarts, res.Restarts, res.RecomputedSteps)
-	}
-	if cfg.RecoveryPolicy == core.RecoverShrink {
+	case cfg.RecoveryPolicy == core.RecoverShrink:
 		fmt.Printf("recovery: shrink episodes=%d restarts=0\n", res.ShrinkEpisodes)
+	default:
+		fmt.Printf("recovery: full-restarts=%d recomputed-steps=%d\n", res.Restarts, res.RecomputedSteps)
 	}
-	fmt.Printf("redundancy layer: %d physical sends, %d deliveries, %d mismatches, %d corrections\n",
-		res.Redundancy.PhysicalSends, res.Redundancy.Deliveries,
-		res.Redundancy.Mismatches, res.Redundancy.Corrections)
+	if local {
+		fmt.Printf("redundancy layer: %d physical sends, %d deliveries, %d mismatches, %d corrections\n",
+			res.Redundancy.PhysicalSends, res.Redundancy.Deliveries,
+			res.Redundancy.Mismatches, res.Redundancy.Corrections)
+	}
 	if *metricsF != "" {
 		if err := writeMetrics(*metricsF, res.Metrics); err != nil {
 			return err

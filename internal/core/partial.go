@@ -121,6 +121,19 @@ func (a *stepAccounting) maybeFire(step int, inj *failure.Injector) {
 	}
 }
 
+// relay is the step report of a rank running in another process:
+// physical rank p (a writer replica) reached step. It counts toward the
+// same job-wide line as an in-process report. The report travels
+// asynchronously, so a kill it fires can land up to a step late.
+func (a *stepAccounting) relay(rankMap *redundancy.RankMap, inj *failure.Injector, p, step int) {
+	owner, err := rankMap.Owner(p)
+	if err != nil {
+		return
+	}
+	a.note(owner.Virtual, step, a.epoch.Load())
+	a.maybeFire(step, inj)
+}
+
 // line is the lowest high-water mark among the virtual ranks that report
 // steps at all (a task farm's workers never do).
 func (a *stepAccounting) line() int64 {
@@ -154,8 +167,9 @@ type epochResult struct {
 // shrink episode: every rank runs one epoch with no checkpoint client,
 // and the application repairs the job on the survivors itself. The gate
 // is typed against mpi.Transport, so the same orchestration drives the
-// simulated backend and any other transport hosting every rank
-// in-process.
+// simulated backend, any other transport hosting every rank in-process,
+// and ranks in worker processes (remoteRanks): those have no driver
+// here, and each rank's end reaches the gate through remoteEnd.
 type partialGate struct {
 	cfg     Config
 	shrink  bool // RecoverShrink: survive sphere deaths in place, never roll back
@@ -169,11 +183,6 @@ type partialGate struct {
 	factory func() apps.App
 	acct    *stepAccounting
 	limit   int
-
-	// commOpts is the shared mpi.Option list every epoch's
-	// redundancy.Wrap consumes; built once from the attempt config, it
-	// selects mode, liveness, and per-rank corruption injection.
-	commOpts []mpi.Option
 
 	partials  *obs.Counter // partial_restarts_total (nil unless enabled)
 	fallbacks *obs.Counter // partial_fallbacks_total
@@ -193,6 +202,10 @@ type partialGate struct {
 	partialRestarts int
 	shrinkEpisodes  int
 	fetchAborted    bool
+
+	// ended marks the ranks whose end has been recorded when they run in
+	// worker processes (nil when they run here as drivers).
+	ended []bool
 
 	completedBy    map[int]apps.App
 	appErrs        map[int]error
@@ -227,12 +240,6 @@ func newPartialGate(cfg Config, world mpi.Transport, rankMap *redundancy.RankMap
 	g.cond = sync.NewCond(&g.mu)
 	if g.limit <= 0 {
 		g.limit = 3
-	}
-	g.commOpts = []mpi.Option{
-		mpi.WithDegree(cfg.Degree),
-		mpi.WithHashCompare(cfg.Mode == redundancy.MsgPlusHash),
-		mpi.WithLiveness(world),
-		mpi.WithCorruptRanks(cfg.CorruptRanks),
 	}
 	if g.recoveryEnabled() {
 		// Feature-gated registration: jobs without partial restart never
@@ -284,6 +291,55 @@ func (g *partialGate) spawnAll() {
 	}
 }
 
+// expectRemote registers every rank as active for an attempt whose
+// ranks run in worker processes: each then ends once, through remoteEnd.
+func (g *partialGate) expectRemote() {
+	g.mu.Lock()
+	g.active = g.world.Size()
+	g.ended = make([]bool, g.world.Size())
+	g.mu.Unlock()
+}
+
+// remoteEnd records how worker-process rank p ended: completed by its
+// bye, with err by an application error, or neither (a death or a
+// casualty's departure). Only its first end counts.
+func (g *partialGate) remoteEnd(p int, completed bool, err error) {
+	g.mu.Lock()
+	if g.ended[p] {
+		g.mu.Unlock()
+		return
+	}
+	g.ended[p] = true
+	if completed {
+		g.completedBy[p] = nil // the application lives in the worker
+	}
+	if err != nil {
+		g.appErrs[p] = err
+	}
+	g.exitLocked()
+	g.mu.Unlock()
+	if err != nil {
+		// Not a failure the job can absorb: end the attempt instead of
+		// leaving the other ranks waiting on this one.
+		g.abort()
+	}
+}
+
+// abort tears the attempt's world down. Parked drivers wake and exit;
+// worker processes need not report at all, since teardown reaps them.
+func (g *partialGate) abort() {
+	g.world.Abort()
+	g.releaseParked()
+	g.mu.Lock()
+	for p, ended := range g.ended {
+		if !ended {
+			g.ended[p] = true
+			g.exitLocked()
+		}
+	}
+	g.mu.Unlock()
+}
+
 // spawnLocked adds one driver mid-attempt (revived rank, or a completed
 // rank that must recompute after a rollback). Caller holds g.mu.
 func (g *partialGate) spawnLocked(p int) {
@@ -318,28 +374,14 @@ func (g *partialGate) runEpoch(p int) epochResult {
 	if err != nil {
 		return epochResult{err: err}
 	}
-	rc, err := redundancy.Wrap(pc, g.rankMap, g.commOpts...)
+	epoch := g.acct.epoch.Load()
+	inj, acct := g.inj, g.acct
+	rc, ctx, err := newRank(g.cfg, pc, g.world, g.rankMap, g.clientConfig(pc), func(v, step int) {
+		acct.note(v, step, epoch)
+		acct.maybeFire(step, inj)
+	})
 	if err != nil {
 		return epochResult{err: err}
-	}
-	epoch := g.acct.epoch.Load()
-	v := rc.Rank()
-	inj := g.inj
-	acct := g.acct
-	ctx := &apps.Context{
-		Comm:         rc,
-		IsWriter:     rc.IsLead,
-		ComputeDelay: g.cfg.ComputeDelay,
-		NoteStep: func(step int) {
-			acct.note(v, step, epoch)
-			acct.maybeFire(step, inj)
-		},
-		ShrinkRecovery: g.shrink,
-	}
-	if !g.shrink {
-		if ctx.Ckpt, err = g.newClient(pc, rc); err != nil {
-			return epochResult{err: err}
-		}
 	}
 	app := g.factory()
 	runErr := app.Run(ctx)
@@ -361,14 +403,14 @@ func (g *partialGate) runEpoch(p int) epochResult {
 	return res
 }
 
-// newClient builds rank pc's checkpoint client for one epoch.
-func (g *partialGate) newClient(pc mpi.Comm, rc *redundancy.Comm) (*checkpoint.Client, error) {
+// clientConfig is rank pc's checkpoint client configuration for one
+// epoch.
+func (g *partialGate) clientConfig(pc mpi.Comm) checkpoint.Config {
 	ccfg := checkpoint.Config{
-		Storage:      g.store,
-		StepInterval: g.cfg.StepInterval,
-		Pipeline:     g.pipe,
-		Obs:          g.jobReg,
-		Flight:       g.cfg.Recorder,
+		Storage:  g.store,
+		Pipeline: g.pipe,
+		Obs:      g.jobReg,
+		Flight:   g.cfg.Recorder,
 	}
 	if g.peer != nil {
 		// Every replica stashes into its own memory shard, so survivors
@@ -376,7 +418,7 @@ func (g *partialGate) newClient(pc mpi.Comm, rc *redundancy.Comm) (*checkpoint.C
 		ccfg.Storage = g.peer.View(pc)
 		ccfg.WriteAllReplicas = true
 	}
-	return checkpoint.NewClient(rc, ccfg)
+	return ccfg
 }
 
 // epochEnd classifies one finished epoch under the gate's lock: exit the
@@ -474,8 +516,7 @@ func (g *partialGate) supervise(timeout time.Duration) (jobFailed, timedOut bool
 		failedCh = g.inj.JobFailed()
 	}
 	abort := func() {
-		g.world.Abort()
-		g.releaseParked()
+		g.abort()
 		failedCh = nil
 	}
 	for {
@@ -630,17 +671,18 @@ func (g *partialGate) tryRecover(sphere int) bool {
 	return true
 }
 
-// completedApps returns the apps that finished the final epoch cleanly.
-func (g *partialGate) completedApps() []apps.App {
+// completedApps returns how many ranks finished the final epoch cleanly,
+// and the apps of those that ran here.
+func (g *partialGate) completedApps() (int, []apps.App) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	out := make([]apps.App, 0, len(g.completedBy))
 	for p := 0; p < g.world.Size(); p++ {
-		if app, ok := g.completedBy[p]; ok {
+		if app := g.completedBy[p]; app != nil {
 			out = append(out, app)
 		}
 	}
-	return out
+	return len(g.completedBy), out
 }
 
 // firstAppError returns the lowest-rank application error, matching the

@@ -1,7 +1,7 @@
 // Package core is the combined partial-redundancy + checkpoint/restart
 // runtime — the paper's primary contribution assembled into a runnable
 // system. A Runner launches an application at a chosen redundancy degree
-// over the simmpi substrate, schedules coordinated checkpoints at the
+// over the simmpi substrate (or one OS process per rank), schedules coordinated checkpoints at the
 // configured interval, injects Poisson node failures, detects job failure
 // when a whole replica sphere dies (Fig. 7), and restarts from the last
 // committed checkpoint until the application completes — or, under the
@@ -11,6 +11,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"os"
 	"time"
 
 	"repro/internal/apps"
@@ -169,10 +170,20 @@ type Config struct {
 	// Transport, when non-nil, builds each attempt's message-passing
 	// backend (every physical rank must be addressable in-process, so
 	// the per-rank driver goroutines can run against it). Nil means the
-	// simulated backend, simmpi.NewWorld. The multi-process backend has
-	// its own attempt loop (procmpi) because its ranks live in child
-	// processes rather than goroutines.
+	// simulated backend, simmpi.NewWorld, unless Spawn is set.
 	Transport func(physical int, opts ...mpi.Option) (mpi.Transport, error)
+
+	// Spawn, when non-nil, runs every physical rank in its own OS
+	// process over the procmpi transport, through the same attempt loop.
+	// Each attempt opens a hub and calls Spawn once per rank with the
+	// attempt index and the hub's network and address; the process it
+	// starts must run that rank with RunRank under this same Config
+	// (redmpirun re-execs itself). Kills are real SIGKILLs, and deaths
+	// from outside the job count like injected ones.
+	Spawn func(attempt, rank int, network, addr string) (*os.Process, error)
+	// Listen, with Spawn, is the TCP address the hub listens on; empty
+	// means a unix socket in a fresh temp dir.
+	Listen string
 }
 
 // PeerTier reports whether a peer checkpoint tier is configured.
@@ -182,6 +193,11 @@ func (cfg Config) PeerTier() bool {
 
 // Validate checks the configuration.
 func (cfg Config) Validate() error {
+	if cfg.Spawn != nil {
+		if err := cfg.validateProc(); err != nil {
+			return err
+		}
+	}
 	switch {
 	case cfg.Ranks <= 0:
 		return fmt.Errorf("core: Ranks = %d", cfg.Ranks)
@@ -234,6 +250,40 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
+// validateProc rejects what a job in worker processes cannot carry: the
+// peer checkpoint tier and the async pipeline live in one address space,
+// send-latency emulation is a simulation instrument, and checkpoints are
+// shared between processes only through the file system.
+func (cfg Config) validateProc() error {
+	switch {
+	case cfg.Transport != nil:
+		return fmt.Errorf("core: Transport and Spawn are exclusive")
+	case cfg.PeerTier():
+		return fmt.Errorf("-peer-shards is not supported with -transport proc (the peer tier shares memory between ranks)")
+	case cfg.PeerBudgetBytes > 0:
+		return fmt.Errorf("-peer-budget-bytes is not supported with -transport proc (no peer tier to budget)")
+	case cfg.PartialRestart:
+		return fmt.Errorf("-partial-restart is not supported with -transport proc")
+	case cfg.AsyncCheckpoint:
+		return fmt.Errorf("-async-checkpoint is not supported with -transport proc")
+	case cfg.SendDelay > 0:
+		return fmt.Errorf("-send-latency is not supported with -transport proc (real sockets have real latency)")
+	case cfg.StepInterval > 0 && !fileBacked(cfg.Storage):
+		return fmt.Errorf("-interval with -transport proc requires -ckpt-dir (worker processes share checkpoints through the filesystem)")
+	}
+	return nil
+}
+
+// fileBacked reports whether s keeps its images in files, which worker
+// processes can share.
+func fileBacked(s checkpoint.Storage) bool {
+	if c, ok := s.(*checkpoint.CompressedStorage); ok {
+		s = c.Inner
+	}
+	_, ok := s.(*checkpoint.FileStorage)
+	return ok
+}
+
 // ErrRestartsExhausted reports that the job kept failing past the restart
 // budget.
 var ErrRestartsExhausted = errors.New("core: restart budget exhausted")
@@ -246,7 +296,8 @@ var ErrAttemptTimeout = errors.New("core: attempt timed out")
 type Attempt struct {
 	// Index is the attempt number, starting at 0.
 	Index int
-	// Failures is how many physical ranks the injector killed.
+	// Failures is how many physical ranks died: the injector's kills
+	// plus, over worker processes, deaths from outside the job.
 	Failures int
 	// JobFailed reports whether a whole sphere died.
 	JobFailed bool
@@ -264,8 +315,8 @@ type Attempt struct {
 	// ShrinkEpisodes counts the sphere deaths the attempt survived by
 	// shrinking instead of restarting (RecoverShrink only).
 	ShrinkEpisodes int
-	// Kills lists the physical ranks the injector killed this attempt,
-	// in injection order (nil without failure injection).
+	// Kills lists the physical ranks that died this attempt, in the
+	// order the injector accounted them.
 	Kills []failure.Kill
 }
 
@@ -436,7 +487,10 @@ func Run(cfg Config, factory func() apps.App) (Result, error) {
 			// an aborted world tears down mid-flight and its in-transit
 			// counts are not meaningful totals.
 			jobReg.Merge(worldSnap)
-			foldRedundancy(jobReg, redStats)
+			if cfg.Spawn == nil {
+				// Worker processes keep their interposition counters.
+				foldRedundancy(jobReg, redStats)
+			}
 		} else {
 			// Work lost to the failure: it must be recomputed (the paper's
 			// rework term).
@@ -476,22 +530,34 @@ func runAttempt(cfg Config, rankMap *redundancy.RankMap, store checkpoint.Storag
 	begin := time.Now()
 
 	attemptReg := obs.NewRegistry()
-	worldOpts := []mpi.Option{mpi.WithObs(attemptReg)}
-	if cfg.SendDelay > 0 {
-		worldOpts = append(worldOpts, mpi.WithSendDelay(cfg.SendDelay))
-	}
-	if cfg.Recorder != nil {
-		worldOpts = append(worldOpts, mpi.WithFlight(cfg.Recorder))
-	}
-	newTransport := cfg.Transport
-	if newTransport == nil {
-		newTransport = func(n int, opts ...mpi.Option) (mpi.Transport, error) {
-			return simmpi.NewWorld(n, opts...)
+	var (
+		world  mpi.Transport
+		remote *remoteRanks
+		err    error
+	)
+	if cfg.Spawn != nil {
+		if remote, err = listenRemote(cfg, rankMap.PhysicalSize(), attemptReg); err != nil {
+			return at, nil, redundancy.Stats{}, obs.Snapshot{}, err
 		}
-	}
-	world, err := newTransport(rankMap.PhysicalSize(), worldOpts...)
-	if err != nil {
-		return at, nil, redundancy.Stats{}, obs.Snapshot{}, err
+		defer remote.close()
+		world = remote
+	} else {
+		worldOpts := []mpi.Option{mpi.WithObs(attemptReg)}
+		if cfg.SendDelay > 0 {
+			worldOpts = append(worldOpts, mpi.WithSendDelay(cfg.SendDelay))
+		}
+		if cfg.Recorder != nil {
+			worldOpts = append(worldOpts, mpi.WithFlight(cfg.Recorder))
+		}
+		newTransport := cfg.Transport
+		if newTransport == nil {
+			newTransport = func(n int, opts ...mpi.Option) (mpi.Transport, error) {
+				return simmpi.NewWorld(n, opts...)
+			}
+		}
+		if world, err = newTransport(rankMap.PhysicalSize(), worldOpts...); err != nil {
+			return at, nil, redundancy.Stats{}, obs.Snapshot{}, err
+		}
 	}
 	if cfg.RankView != nil {
 		cfg.RankView(world)
@@ -506,27 +572,25 @@ func runAttempt(cfg Config, rankMap *redundancy.RankMap, store checkpoint.Storag
 		spheres[v] = sphere
 	}
 
+	// The injector is the attempt's one sphere accountant. Without a
+	// schedule it is a conduit for step kills and for deaths it did not
+	// cause (a worker process killed from outside the job).
 	schedule := cfg.FailureSchedule
 	if cfg.ScheduleOnce && attempt > 0 {
 		schedule = nil
 	}
-	var inj *failure.Injector
-	if schedule != nil || cfg.NodeMTBF > 0 || len(cfg.StepKills) > 0 {
-		if schedule == nil && cfg.NodeMTBF <= 0 {
-			// Step-triggered kills only: an empty schedule makes the
-			// injector a pure InjectNow conduit.
-			schedule = []failure.Kill{}
-		}
-		inj, err = failure.New(world, spheres, failure.Config{
-			Stream:   stream,
-			NodeMTBF: cfg.NodeMTBF,
-			Schedule: schedule,
-			Obs:      jobReg,
-			Flight:   cfg.Recorder,
-		})
-		if err != nil {
-			return at, nil, redundancy.Stats{}, obs.Snapshot{}, err
-		}
+	if schedule == nil && cfg.NodeMTBF <= 0 {
+		schedule = []failure.Kill{}
+	}
+	inj, err := failure.New(world, spheres, failure.Config{
+		Stream:   stream,
+		NodeMTBF: cfg.NodeMTBF,
+		Schedule: schedule,
+		Obs:      jobReg,
+		Flight:   cfg.Recorder,
+	})
+	if err != nil {
+		return at, nil, redundancy.Stats{}, obs.Snapshot{}, err
 	}
 
 	// A fresh peer store per attempt: a full restart means the fast tier
@@ -554,12 +618,26 @@ func runAttempt(cfg Config, rankMap *redundancy.RankMap, store checkpoint.Storag
 	}
 
 	g := newPartialGate(cfg, world, rankMap, store, peer, pipe, inj, jobReg, acct, factory)
-	g.startServers()
-	if inj != nil {
+	var jobFailed, timedOut bool
+	if remote != nil {
+		rendezvous, err := remote.launch(g, attempt)
+		if err != nil {
+			g.abort()
+			return at, nil, redundancy.Stats{}, obs.Snapshot{}, err
+		}
+		if rendezvous {
+			inj.Start()
+			jobFailed, timedOut = g.supervise(timeout)
+		} else {
+			g.abort()
+			jobFailed = true
+		}
+	} else {
+		g.startServers()
 		inj.Start()
+		g.spawnAll()
+		jobFailed, timedOut = g.supervise(timeout)
 	}
-	g.spawnAll()
-	jobFailed, timedOut := g.supervise(timeout)
 
 	// Tear down the peer servers: on a clean finish the world is still
 	// up, so interrupt it to unblock their receives (no-op when aborted,
@@ -569,11 +647,9 @@ func runAttempt(cfg Config, rankMap *redundancy.RankMap, store checkpoint.Storag
 		g.serverWG.Wait()
 	}
 
-	if inj != nil {
-		inj.Stop()
-		at.Failures = inj.Failures()
-		at.Kills = inj.Log()
-	}
+	inj.Stop()
+	at.Failures = inj.Failures()
+	at.Kills = inj.Log()
 
 	g.mu.Lock()
 	fetchAborted := g.fetchAborted
@@ -601,8 +677,8 @@ func runAttempt(cfg Config, rankMap *redundancy.RankMap, store checkpoint.Storag
 		at.JobFailed = true
 		appErr = nil
 	}
-	completed := g.completedApps()
-	if appErr == nil && !at.JobFailed && !at.TimedOut && len(completed) == 0 {
+	finished, completed := g.completedApps()
+	if appErr == nil && !at.JobFailed && !at.TimedOut && finished == 0 {
 		// Every driver exited without finishing its app: the ranks died
 		// under it, whether or not an exhaustion event said so. That is
 		// never a success.

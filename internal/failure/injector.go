@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -21,7 +22,8 @@ import (
 // implements it.
 type KillTarget interface {
 	// Kill fail-stops a physical rank (idempotent). It runs under the
-	// injector's lock, so it must not call back into the injector.
+	// injector's lock, so the only call back into the injector it may
+	// make is NoteDeath for the rank it is killing.
 	Kill(rank int)
 }
 
@@ -48,7 +50,8 @@ type Config struct {
 	// Schedule, when non-nil, replaces random generation with an explicit
 	// deterministic kill list (for tests).
 	Schedule []Kill
-	// Obs, when non-nil, counts injections: failure_kills_total plus
+	// Obs, when non-nil, counts deaths, injected or noted (NoteDeath):
+	// failure_kills_total plus
 	// per-node and per-sphere breakdowns
 	// (failure_kills_node_<p>_total, failure_kills_sphere_<v>_total).
 	Obs *obs.Registry
@@ -85,6 +88,13 @@ type Injector struct {
 	doneCh      chan struct{}
 	jobFailed   chan int // sphere index whose last replica died; capacity len(spheres)
 	started     bool
+	start       time.Time // when Start ran; offsets of noted deaths count from here
+
+	// killing is the rank the injector's own Kill is fail-stopping, or
+	// -1. It is written under mu and read by NoteDeath without it: a
+	// target that reports its deaths reports this one from inside Kill,
+	// with mu held by the same goroutine.
+	killing atomic.Int64
 }
 
 func bitGet(words []uint64, i int) bool { return words[i>>6]&(1<<(uint(i)&63)) != 0 }
@@ -125,6 +135,7 @@ func New(target KillTarget, spheres [][]int, cfg Config) (*Injector, error) {
 		doneCh:    make(chan struct{}),
 		jobFailed: make(chan int, len(spheres)),
 	}
+	inj.killing.Store(-1)
 	for i := range inj.sphereOf {
 		inj.sphereOf[i] = -1
 	}
@@ -169,7 +180,8 @@ func (inj *Injector) Log() []Kill {
 	return out
 }
 
-// Failures returns the number of kills performed so far.
+// Failures returns the number of deaths accounted so far: the
+// injector's own kills plus those reported through NoteDeath.
 func (inj *Injector) Failures() int {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
@@ -188,14 +200,14 @@ func (inj *Injector) Start() {
 		return
 	}
 	inj.started = true
-	start := time.Now()
+	inj.start = time.Now()
 	kills := inj.schedule()
 	due := 0
 	for ; due < len(kills) && kills[due].After <= 0; due++ {
 		inj.killLocked(kills[due].Rank, 0)
 	}
 	inj.mu.Unlock()
-	go inj.run(start, kills[due:])
+	go inj.run(inj.start, kills[due:])
 }
 
 // Stop halts injection and waits for the background goroutine.
@@ -289,12 +301,40 @@ func (inj *Injector) kill(rank int, at time.Duration) {
 
 // killLocked is kill with inj.mu held.
 func (inj *Injector) killLocked(rank int, at time.Duration) {
+	inj.killing.Store(int64(rank))
 	inj.target.Kill(rank)
-	inj.log = append(inj.log, Kill{Rank: rank, After: at})
-	ordinal := int64(len(inj.log))
+	inj.killing.Store(-1)
+	inj.deathLocked(rank, at)
+}
+
+// NoteDeath accounts a death the injector did not cause — an external
+// SIGKILL, a crash, a heartbeat timeout — exactly like one of its own
+// kills: it is logged, counted, and can exhaust a sphere. A target that
+// reports every death it sees also reports the injector's own kills,
+// from inside Kill with the injector's lock held; NoteDeath skips those
+// (the kill accounts them itself) without touching the lock. A rank
+// already counted dead is not counted again.
+func (inj *Injector) NoteDeath(rank int) {
+	if inj.killing.Load() == int64(rank) {
+		return
+	}
+	inj.mu.Lock()
+	defer inj.mu.Unlock()
+	var at time.Duration
+	if !inj.start.IsZero() {
+		at = time.Since(inj.start)
+	}
+	inj.deathLocked(rank, at)
+}
+
+// deathLocked accounts one death with inj.mu held.
+func (inj *Injector) deathLocked(rank int, at time.Duration) {
 	var exhausted = -1
 	sphere := -1
-	if rank < len(inj.sphereOf) && !bitGet(inj.deadWords, rank) {
+	if rank < len(inj.sphereOf) {
+		if bitGet(inj.deadWords, rank) {
+			return // already dead: not a new failure
+		}
 		bitSet(inj.deadWords, rank)
 		inj.deadList = append(inj.deadList, rank)
 		if v := inj.sphereOf[rank]; v >= 0 {
@@ -308,6 +348,8 @@ func (inj *Injector) killLocked(rank int, at time.Duration) {
 			}
 		}
 	}
+	inj.log = append(inj.log, Kill{Rank: rank, After: at})
+	ordinal := int64(len(inj.log))
 	if reg := inj.cfg.Obs; reg != nil {
 		reg.Counter("failure_kills_total").Inc()
 		reg.Counter(fmt.Sprintf("failure_kills_node_%d_total", rank)).Inc()

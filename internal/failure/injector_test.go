@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -269,5 +270,47 @@ func TestPlainSpheres(t *testing.T) {
 		if len(sphere) != 1 || sphere[0] != v {
 			t.Fatalf("sphere %d = %v", v, sphere)
 		}
+	}
+}
+
+// reportingTarget reports every death back to the injector, from inside
+// Kill, the way the multi-process hub's OnDeath does.
+type reportingTarget struct{ inj *Injector }
+
+func (r *reportingTarget) Kill(rank int) { r.inj.NoteDeath(rank) }
+
+// TestNoteDeathAccountsExternalDeaths: a death the injector did not
+// cause counts like one of its own kills — in Failures, in
+// failure_kills_total and toward sphere exhaustion — while a death the
+// target reports from inside the injector's own Kill is counted once,
+// without deadlocking on the injector's lock.
+func TestNoteDeathAccountsExternalDeaths(t *testing.T) {
+	target := &reportingTarget{}
+	reg := obs.NewRegistry()
+	inj, err := New(target, [][]int{{0, 1}, {2, 3}}, Config{Schedule: []Kill{}, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	target.inj = inj
+	inj.Start()
+	defer inj.Stop()
+
+	inj.InjectNow(0) // reported back from inside Kill
+	inj.NoteDeath(2) // an external kill
+	inj.NoteDeath(2) // the same death seen twice
+	if n := inj.Failures(); n != 2 {
+		t.Fatalf("Failures = %d, want 2", n)
+	}
+	select {
+	case v := <-inj.JobFailed():
+		t.Fatalf("sphere %d exhausted with one replica of each sphere alive", v)
+	default:
+	}
+	inj.NoteDeath(1) // the external death that empties sphere 0
+	if v, ok := inj.PollJobFailed(); !ok || v != 0 {
+		t.Fatalf("PollJobFailed = %d, %v; want sphere 0", v, ok)
+	}
+	if n := reg.Snapshot().Counter("failure_kills_total"); n != 3 {
+		t.Errorf("failure_kills_total = %d, want 3", n)
 	}
 }

@@ -46,12 +46,13 @@ type CoordinatorConfig struct {
 	// backend emits, so redreport and the timeline read identically.
 	Flight *obs.Recorder
 	// OnDeath is called (outside coordinator locks) whenever a rank dies
-	// — by Kill, socket EOF, or heartbeat timeout. The job runner's
-	// sphere accounting hangs off this: it is authoritative even for
-	// kills delivered externally (a CI script SIGKILLing a worker).
+	// — by Kill, socket EOF, or heartbeat timeout — so kills delivered
+	// from outside the job (a script SIGKILLing a worker) are seen like
+	// injected ones. Kill calls it synchronously.
 	OnDeath func(rank int)
-	// OnBye is called when a worker reports clean completion.
-	OnBye func(rank int)
+	// OnBye is called when a worker leaves cleanly: completed is true
+	// for Worker.Bye, false for Worker.Leave.
+	OnBye func(rank int, completed bool)
 	// OnStep is called for relayed application step notifications.
 	OnStep func(rank, step int)
 	// OnAppErr is called for relayed application errors.
@@ -249,31 +250,9 @@ func (c *Coordinator) PID(rank int) (int, bool) {
 	return c.pids[rank], c.pids[rank] > 0
 }
 
-// Byes returns how many ranks have reported clean completion.
-func (c *Coordinator) Byes() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, b := range c.byes {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
-// ByedRank reports whether a rank completed cleanly.
-func (c *Coordinator) ByedRank(rank int) bool {
-	if rank < 0 || rank >= c.cfg.Size {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.byes[rank]
-}
-
-// WaitConnected blocks until every rank has rendezvoused (or the
-// deadline passes, or the hub aborts/closes).
+// WaitConnected blocks until the initial rendezvous has completed —
+// every rank has connected or died — or the deadline passes, or the hub
+// aborts/closes.
 func (c *Coordinator) WaitConnected(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	stop := time.AfterFunc(timeout, func() {
@@ -284,15 +263,12 @@ func (c *Coordinator) WaitConnected(timeout time.Duration) error {
 	defer stop.Stop()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for {
+	for !c.rendezvoused {
 		n := 0
 		for _, wc := range c.conns {
 			if wc != nil {
 				n++
 			}
-		}
-		if n == c.cfg.Size {
-			return nil
 		}
 		if c.aborted || c.closed {
 			return fmt.Errorf("procmpi: coordinator down with %d/%d workers connected", n, c.cfg.Size)
@@ -302,6 +278,7 @@ func (c *Coordinator) WaitConnected(timeout time.Duration) error {
 		}
 		c.cond.Wait()
 	}
+	return nil
 }
 
 // Kill implements mpi.Transport: fail-stop a rank. The death is
@@ -344,6 +321,41 @@ func (c *Coordinator) markDeadLocked(rank int) {
 	c.aliveN--
 	c.flight.Emit("dead", rank, -1, 0, 0)
 	c.cond.Broadcast()
+	// A rank that dies before the rendezvous no longer holds it up.
+	c.rendezvousLocked()
+}
+
+// rendezvousLocked completes the initial rendezvous once every rank has
+// connected or died. It is a barrier: nobody is released into the
+// application before, so no early frame can be dropped at a
+// not-yet-registered destination. The welcomes, which carry the dead
+// set, go out from a goroutine of their own.
+func (c *Coordinator) rendezvousLocked() {
+	if c.rendezvoused || c.aborted || c.closed {
+		return
+	}
+	for r, w := range c.conns {
+		if w == nil && !c.dead[r] {
+			return
+		}
+	}
+	c.rendezvoused = true
+	batch := c.pending
+	c.pending = nil
+	// The barrier wait must not count against anyone's heartbeat.
+	now := time.Now().UnixNano()
+	for _, w := range batch {
+		atomic.StoreInt64(&w.lastBeat, now)
+	}
+	welcome := encodeWelcome(c.cfg.Size, c.phase != phaseRun, c.deadRanksLocked())
+	c.cond.Broadcast()
+	go func() {
+		for _, w := range batch {
+			if err := c.writeTo(w, mpi.Frame{Type: frameWelcome, Src: -1, Dst: int32(w.rank), Tag: 0, Payload: welcome}); err != nil {
+				c.connLost(w)
+			}
+		}
+	}()
 }
 
 // Abort implements mpi.Transport.
@@ -672,31 +684,9 @@ func (c *Coordinator) handshake(conn net.Conn) {
 	go c.readLoop(wc)
 
 	if !c.rendezvoused {
-		// Initial rendezvous is a barrier: nobody is released into the
-		// application until every rank is connected, so no early frame
-		// can be dropped at a not-yet-registered destination.
 		c.pending = append(c.pending, wc)
-		for _, w := range c.conns {
-			if w == nil {
-				c.mu.Unlock()
-				return
-			}
-		}
-		c.rendezvoused = true
-		batch := c.pending
-		c.pending = nil
-		// The barrier wait must not count against anyone's heartbeat.
-		now := time.Now().UnixNano()
-		for _, w := range batch {
-			atomic.StoreInt64(&w.lastBeat, now)
-		}
-		welcome := encodeWelcome(c.cfg.Size, c.phase != phaseRun, c.deadRanksLocked())
+		c.rendezvousLocked()
 		c.mu.Unlock()
-		for _, w := range batch {
-			if err := c.writeTo(w, mpi.Frame{Type: frameWelcome, Src: -1, Dst: int32(w.rank), Tag: 0, Payload: welcome}); err != nil {
-				c.connLost(w)
-			}
-		}
 		return
 	}
 
@@ -758,15 +748,26 @@ func (c *Coordinator) handleFrame(wc *wconn, f mpi.Frame, pb *mpi.PooledBuf) {
 		c.mu.Unlock()
 		release()
 	case frameBye:
+		completed := f.Tag == 1
+		var peers []*wconn
 		c.mu.Lock()
 		c.byes[wc.rank] = true
+		if !completed && !c.dead[wc.rank] && !c.aborted && !c.closed {
+			// A casualty leaving: its peers must stop waiting on it, as
+			// on a death, but it is no failure, so OnDeath is not called.
+			c.markDeadLocked(wc.rank)
+			peers = c.liveConnsLocked()
+		}
 		c.cond.Broadcast()
 		c.mu.Unlock()
 		release()
-		if c.cfg.OnBye != nil {
-			c.cfg.OnBye(wc.rank)
+		if peers != nil {
+			c.broadcast(peers, mpi.Frame{Type: frameDead, Src: int32(wc.rank), Dst: -1, Tag: 0})
 		}
-		// A completed rank is excused from FT rounds.
+		if c.cfg.OnBye != nil {
+			c.cfg.OnBye(wc.rank, completed)
+		}
+		// A departed rank is excused from FT rounds.
 		c.ftMaybeComplete()
 	case frameAgree:
 		flag := len(f.Payload) > 0 && f.Payload[0] != 0

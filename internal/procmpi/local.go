@@ -34,10 +34,10 @@ type LocalConfig struct {
 // and the reference implementation of reconnect-on-revive (Revive dials
 // a replacement incarnation before flipping the liveness bit).
 type Local struct {
-	coord *Coordinator
-	cfg   LocalConfig
-	addr  string
-	dir   string // temp dir holding the unix socket, "" for tcp
+	coord   *Coordinator
+	cfg     LocalConfig
+	addr    string
+	cleanup func() // removes the unix socket's temp dir
 
 	mu      sync.Mutex
 	workers []*Worker
@@ -47,33 +47,9 @@ var _ mpi.Transport = (*Local)(nil)
 
 // NewLocal builds a proc world of n in-process workers.
 func NewLocal(n int, cfg LocalConfig) (*Local, error) {
-	network := cfg.Network
-	if network == "" {
-		network = "unix"
-	}
-	var (
-		ln  net.Listener
-		dir string
-		err error
-	)
-	switch network {
-	case "unix":
-		dir, err = os.MkdirTemp("", "procmpi")
-		if err != nil {
-			return nil, err
-		}
-		ln, err = net.Listen("unix", filepath.Join(dir, "hub.sock"))
-		if err != nil {
-			os.RemoveAll(dir)
-			return nil, err
-		}
-	case "tcp":
-		ln, err = net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("procmpi: unsupported network %q", network)
+	ln, cleanup, err := Listen(cfg.Network, "")
+	if err != nil {
+		return nil, err
 	}
 	coord, err := NewCoordinator(ln, CoordinatorConfig{
 		Size:             n,
@@ -83,16 +59,14 @@ func NewLocal(n int, cfg LocalConfig) (*Local, error) {
 	})
 	if err != nil {
 		ln.Close()
-		if dir != "" {
-			os.RemoveAll(dir)
-		}
+		cleanup()
 		return nil, err
 	}
 	l := &Local{
 		coord:   coord,
 		cfg:     cfg,
 		addr:    ln.Addr().String(),
-		dir:     dir,
+		cleanup: cleanup,
 		workers: make([]*Worker, n),
 	}
 	// Dial concurrently: rendezvous is a barrier, so no welcome arrives
@@ -156,9 +130,35 @@ func (l *Local) Close() {
 		}
 	}
 	l.coord.Close()
-	if l.dir != "" {
-		os.RemoveAll(l.dir)
+	l.cleanup()
+}
+
+// Listen opens a hub listener. Network "unix" (or "") listens on a
+// socket in a fresh temp dir, which cleanup removes; "tcp" listens on
+// addr, or on a free loopback port when addr is empty.
+func Listen(network, addr string) (ln net.Listener, cleanup func(), err error) {
+	cleanup = func() {}
+	switch network {
+	case "", "unix":
+		dir, err := os.MkdirTemp("", "procmpi")
+		if err != nil {
+			return nil, nil, err
+		}
+		cleanup = func() { os.RemoveAll(dir) }
+		ln, err = net.Listen("unix", filepath.Join(dir, "hub.sock"))
+	case "tcp":
+		if addr == "" {
+			addr = "127.0.0.1:0"
+		}
+		ln, err = net.Listen("tcp", addr)
+	default:
+		err = fmt.Errorf("procmpi: unsupported network %q", network)
 	}
+	if err != nil {
+		cleanup()
+		return nil, nil, err
+	}
+	return ln, cleanup, nil
 }
 
 // Size implements mpi.Transport.

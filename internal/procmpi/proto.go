@@ -53,7 +53,10 @@ const (
 	// frameKilled tells a worker its own rank was fail-stopped (the
 	// in-process analogue of SIGKILL).
 	frameKilled
-	// frameBye reports clean application completion (worker → hub).
+	// frameBye reports that the worker is leaving cleanly (worker →
+	// hub): Tag 1 when its application completed, 0 when it stopped as
+	// the casualty of a failure elsewhere. Either way its socket closing
+	// afterwards is not a death.
 	frameBye
 	// frameStep relays an application step notification (Tag = step) so
 	// the job runner can drive step-triggered kills.

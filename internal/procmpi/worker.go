@@ -413,7 +413,15 @@ func (w *Worker) PendingMessages() int {
 }
 
 // Bye reports clean application completion to the coordinator.
-func (w *Worker) Bye() error { return w.writeControl(frameBye) }
+func (w *Worker) Bye() error {
+	return w.writeFrame(mpi.Frame{Type: frameBye, Src: int32(w.rank), Dst: -1, Tag: 1})
+}
+
+// Leave tells the coordinator this worker is stopping without completing
+// its application, as the expected casualty of a failure elsewhere. Its
+// peers learn it is gone, as on a death, but the coordinator reports a
+// departure (OnBye), not another death.
+func (w *Worker) Leave() error { return w.writeControl(frameBye) }
 
 // NoteStep relays an application step notification, so step-triggered
 // kill schedules work across the process boundary.
