@@ -25,6 +25,7 @@ type remoteRanks struct {
 	network string
 	cleanup func()
 	procs   []*os.Process
+	reapers sync.WaitGroup
 
 	mu   sync.Mutex
 	gate *partialGate // nil before launch and after close: callbacks outside the attempt are dropped
@@ -109,10 +110,24 @@ func (r *remoteRanks) launch(g *partialGate, attempt int) (rendezvous bool, err 
 		if r.procs[p], err = r.spawn(attempt, p, r.network, addr); err != nil {
 			return false, fmt.Errorf("core: spawning rank %d: %w", p, err)
 		}
+		r.reapers.Add(1)
+		go r.reap(p, r.procs[p])
 	}
 	// A worker that never dials in fails the attempt like any other
 	// failure; the restart budget decides what follows.
 	return r.WaitConnected(rendezvousTimeout) == nil, nil
+}
+
+// reap waits for rank p's process to exit. A process that exits before
+// its hello never had a connection whose loss would mark it dead, so
+// the reaper kills the rank at the hub, and the rendezvous stops
+// waiting for it.
+func (r *remoteRanks) reap(p int, proc *os.Process) {
+	defer r.reapers.Done()
+	_, _ = proc.Wait()
+	if _, helloed := r.PID(p); !helloed {
+		r.Kill(p)
+	}
 }
 
 // close ends the attempt: callbacks stop reaching the gate, the hub
@@ -126,8 +141,8 @@ func (r *remoteRanks) close() {
 	for _, p := range r.procs {
 		if p != nil {
 			_ = p.Kill()
-			_, _ = p.Wait()
 		}
 	}
+	r.reapers.Wait()
 	r.cleanup()
 }

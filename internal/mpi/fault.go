@@ -73,6 +73,25 @@ func NewShrunk(base Comm, survivors []int) (*Shrunk, error) {
 	return s, nil
 }
 
+// FinishShrink ends a transport's Shrink once the survivor set is
+// agreed: a caller outside it died during the round (ErrKilled);
+// a member acknowledges the failures (Shrink implies failure_ack at
+// the transport level) and wraps c over the survivors.
+func FinishShrink(c Comm, survivors []int) (*Shrunk, error) {
+	member := false
+	for _, r := range survivors {
+		if r == c.Rank() {
+			member = true
+			break
+		}
+	}
+	if !member {
+		return nil, ErrKilled
+	}
+	c.FailureAck()
+	return NewShrunk(c, survivors)
+}
+
 // Base returns the communicator the shrunk communicator was built over.
 func (s *Shrunk) Base() Comm { return s.base }
 

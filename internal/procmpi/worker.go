@@ -1,10 +1,10 @@
 package procmpi
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/mpi"
@@ -58,31 +58,22 @@ type Worker struct {
 	hbStop chan struct{}
 	hbOnce sync.Once
 
-	mu          sync.Mutex
-	cond        *sync.Cond
-	queue       []mpi.Message // arrival order; FIFO per (src, tag) by in-order scan
-	dead        []bool
-	killed      bool
-	aborted     bool
-	interrupted bool
-	connDown    bool
-	sent        []uint64
-	recvd       []uint64
-
-	// ULFM-style fault-notification state (all under mu): the installed
-	// errhandler, which deaths it has been told about, and the
-	// deaths/ackedDeaths watermark pair gating wildcard operations with
-	// mpi.ErrFailurePending.
-	handler     func(mpi.FailureInfo)
-	notified    map[int]bool
-	deaths      uint64
-	ackedDeaths uint64
+	// box is the worker's receive-engine stripe, holding this rank's
+	// one box; its mutex is the worker's state lock. st is the local
+	// liveness view (this rank's own bit is set when it is killed) and
+	// fault the ULFM notification state.
+	box   mpi.Stripe
+	st    mpi.State
+	fault mpi.Notifier
+	sent  []atomic.Uint64
+	recvd []atomic.Uint64
 
 	// Fault-tolerant collective state: ftMu serialises Agree/Shrink
 	// calls from this endpoint; the round's completion lands via
 	// frameAgreeResult/frameShrinkResult (matched on ftSeq) and is
-	// signalled through cond.
+	// signalled through ftCond. The ft fields are guarded by box's lock.
 	ftMu        sync.Mutex
+	ftCond      *sync.Cond
 	ftSeq       int32
 	ftDone      bool
 	ftFlag      bool
@@ -94,6 +85,7 @@ var (
 	_ mpi.CountTracker = (*Worker)(nil)
 	_ mpi.SharedSender = (*Worker)(nil)
 	_ mpi.Liveness     = (*Worker)(nil)
+	_ mpi.Receiver     = (*Worker)(nil)
 )
 
 // Dial connects to the coordinator, performs the hello/welcome
@@ -120,20 +112,16 @@ func Dial(cfg WorkerConfig) (*Worker, error) {
 		arena:  arena,
 		flight: cfg.Flight,
 		hbStop: make(chan struct{}),
-		dead:   make([]bool, cfg.Size),
-		sent:   make([]uint64, cfg.Size),
-		recvd:  make([]uint64, cfg.Size),
+		sent:   make([]atomic.Uint64, cfg.Size),
+		recvd:  make([]atomic.Uint64, cfg.Size),
 	}
-	w.cond = sync.NewCond(&w.mu)
+	w.st.Dead = mpi.NewBitset(cfg.Size)
+	w.box.Reserve(cfg.Rank)
+	w.ftCond = sync.NewCond(&w.box)
 
 	// Rendezvous under a deadline so a wedged coordinator cannot hang
 	// the worker forever.
 	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-	hello := mpi.Frame{Type: frameHello, Src: int32(cfg.Rank), Dst: -1, Tag: 0, Payload: encodeHello(cfg.PID)}
-	if err := w.writeFrame(hello); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("procmpi: hello: %w", err)
-	}
 	// The rendezvous barrier releases all welcomes in one sequential
 	// sweep, so frames from already-welcomed parties can legally arrive
 	// ahead of ours: a death broadcast (some batch member crashed during
@@ -145,53 +133,43 @@ func Dial(cfg WorkerConfig) (*Worker, error) {
 		pb *mpi.PooledBuf
 	}
 	var pre []early
+	fail := func(err error) (*Worker, error) {
+		for _, e := range pre {
+			e.pb.Release()
+		}
+		conn.Close()
+		return nil, err
+	}
+	hello := mpi.Frame{Type: frameHello, Src: int32(cfg.Rank), Dst: -1, Tag: 0, Payload: encodeHello(cfg.PID)}
+	if err := w.writeFrame(hello); err != nil {
+		return fail(fmt.Errorf("procmpi: hello: %w", err))
+	}
 	var welcome mpi.Frame
 	for {
 		f, pb, err := mpi.ReadFrame(conn, arena)
 		if err != nil {
-			for _, e := range pre {
-				if e.pb != nil {
-					e.pb.Release()
-				}
-			}
-			conn.Close()
-			return nil, fmt.Errorf("procmpi: welcome: %w", err)
+			return fail(fmt.Errorf("procmpi: welcome: %w", err))
 		}
 		if f.Type == frameWelcome {
 			welcome = f
-			defer func() {
-				if pb != nil {
-					pb.Release()
-				}
-			}()
+			defer pb.Release()
 			break
 		}
 		pre = append(pre, early{f: f, pb: pb})
 	}
 	size, interrupted, deadRanks, err := decodeWelcome(welcome.Payload)
 	if err != nil {
-		for _, e := range pre {
-			if e.pb != nil {
-				e.pb.Release()
-			}
-		}
-		conn.Close()
-		return nil, err
+		return fail(err)
 	}
 	if size != cfg.Size {
-		for _, e := range pre {
-			if e.pb != nil {
-				e.pb.Release()
-			}
-		}
-		conn.Close()
-		return nil, fmt.Errorf("procmpi: coordinator size %d, worker expects %d", size, cfg.Size)
+		return fail(fmt.Errorf("procmpi: coordinator size %d, worker expects %d", size, cfg.Size))
 	}
-	w.interrupted = interrupted
+	w.st.Interrupted.Store(interrupted)
 	for _, r := range deadRanks {
-		if r >= 0 && r < cfg.Size {
-			w.dead[r] = true
-			w.deaths++
+		// A revived incarnation is welcomed while its rank still reads
+		// dead; its own bit means killed, so it is left clear.
+		if r >= 0 && r < cfg.Size && r != cfg.Rank {
+			w.st.Kill(r)
 		}
 	}
 	// Pre-welcome frames were written before our welcome but after its
@@ -233,12 +211,7 @@ func (w *Worker) Alive(rank int) bool {
 	if rank < 0 || rank >= w.size {
 		return false
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if rank == w.rank {
-		return !w.killed
-	}
-	return !w.dead[rank]
+	return !w.st.Dead.Get(rank)
 }
 
 func (w *Worker) checkPeer(rank int) error {
@@ -256,21 +229,11 @@ func (w *Worker) sendPrologue(dst, tag int) (ok bool, err error) {
 	if err := w.checkPeer(dst); err != nil {
 		return false, err
 	}
-	w.mu.Lock()
-	switch {
-	case w.aborted, w.connDown:
-		w.mu.Unlock()
-		return false, mpi.ErrAborted
-	case w.killed:
-		w.mu.Unlock()
-		return false, mpi.ErrKilled
-	case w.interrupted:
-		w.mu.Unlock()
-		return false, mpi.ErrInterrupted
+	if err := w.st.ErrIfDown(w.rank); err != nil {
+		return false, err
 	}
-	w.sent[dst]++
-	drop := w.dead[dst]
-	w.mu.Unlock()
+	w.sent[dst].Add(1)
+	drop := w.st.Dead.Get(dst)
 	w.flight.Emit("send", w.rank, -1, tag, int64(dst))
 	if drop {
 		w.flight.Emit("drop", w.rank, -1, tag, int64(dst))
@@ -310,70 +273,42 @@ func (w *Worker) SendPooled(dst, tag int, data []byte, pb *mpi.PooledBuf) error 
 // now-dead peer is still delivered (death invalidates only future
 // traffic) — then fail by liveness state, else park on the mailbox.
 func (w *Worker) Recv(src, tag int) (mpi.Message, error) {
-	msg, err := w.recv(src, tag)
-	if err != nil {
-		w.fireHandler(err)
+	if src != mpi.AnySource {
+		if err := w.checkPeer(src); err != nil {
+			return mpi.Message{}, err
+		}
+	}
+	msg, err := w.box.Receive(&w.st, &w.fault, w.rank, src, tag)
+	if err == nil {
+		w.recvd[msg.Source].Add(1)
 	}
 	return msg, err
 }
 
-func (w *Worker) recv(src, tag int) (mpi.Message, error) {
-	if src != mpi.AnySource {
-		if err := w.checkPeer(src); err != nil {
-			return mpi.Message{}, err
-		}
+// TryRecv implements mpi.Receiver: a receive that does not block.
+func (w *Worker) TryRecv(src, tag int) (mpi.Message, bool, error) {
+	msg, done, err := w.box.TryReceive(&w.st, &w.fault, w.rank, src, tag)
+	if done && err == nil {
+		w.recvd[msg.Source].Add(1)
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for {
-		if i, ok := w.matchLocked(src, tag); ok {
-			return w.takeLocked(i), nil
-		}
-		if err := w.errIfDownLocked(src); err != nil {
-			return mpi.Message{}, err
-		}
-		w.cond.Wait()
-	}
+	return msg, done, err
 }
 
 // Probe implements mpi.Comm.
 func (w *Worker) Probe(src, tag int) (mpi.Status, error) {
-	st, err := w.probe(src, tag)
-	if err != nil {
-		w.fireHandler(err)
-	}
-	return st, err
-}
-
-func (w *Worker) probe(src, tag int) (mpi.Status, error) {
 	if src != mpi.AnySource {
 		if err := w.checkPeer(src); err != nil {
 			return mpi.Status{}, err
 		}
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for {
-		if i, ok := w.matchLocked(src, tag); ok {
-			m := w.queue[i]
-			return mpi.Status{Source: m.Source, Tag: m.Tag, Len: len(m.Data)}, nil
-		}
-		if err := w.errIfDownLocked(src); err != nil {
-			return mpi.Status{}, err
-		}
-		w.cond.Wait()
-	}
+	return w.box.Probe(&w.st, &w.fault, w.rank, src, tag)
 }
 
 // Isend implements mpi.Comm; sends are eager, so the request is born
 // fulfilled.
 func (w *Worker) Isend(dst, tag int, data []byte) (mpi.Request, error) {
 	err := w.Send(dst, tag, data)
-	return &request{
-		done: true,
-		st:   mpi.Status{Source: w.rank, Tag: tag, Len: len(data)},
-		err:  err,
-	}, nil
+	return mpi.Fulfilled(mpi.Status{Source: w.rank, Tag: tag, Len: len(data)}, err), nil
 }
 
 // Irecv implements mpi.Comm; matching is lazy (at Wait/Test), like the
@@ -384,33 +319,25 @@ func (w *Worker) Irecv(src, tag int) (mpi.Request, error) {
 			return nil, err
 		}
 	}
-	return &request{w: w, src: src, tag: tag, isRecv: true}, nil
+	return mpi.NewRecvRequest(w, src, tag), nil
 }
 
 // SentCounts implements mpi.CountTracker.
-func (w *Worker) SentCounts() []uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]uint64, len(w.sent))
-	copy(out, w.sent)
-	return out
-}
+func (w *Worker) SentCounts() []uint64 { return snapshot(w.sent) }
 
 // RecvCounts implements mpi.CountTracker.
-func (w *Worker) RecvCounts() []uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]uint64, len(w.recvd))
-	copy(out, w.recvd)
+func (w *Worker) RecvCounts() []uint64 { return snapshot(w.recvd) }
+
+func snapshot(counts []atomic.Uint64) []uint64 {
+	out := make([]uint64, len(counts))
+	for i := range counts {
+		out[i] = counts[i].Load()
+	}
 	return out
 }
 
 // PendingMessages returns the number of queued-but-unreceived messages.
-func (w *Worker) PendingMessages() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.queue)
-}
+func (w *Worker) PendingMessages() int { return w.box.Pending(w.rank) }
 
 // Bye reports clean application completion to the coordinator.
 func (w *Worker) Bye() error {
@@ -441,76 +368,25 @@ func (w *Worker) ReportError(msg string) error {
 // wildcard failure gate, so parked wildcard receivers are woken to
 // re-evaluate pending deaths.
 func (w *Worker) SetErrhandler(fn func(mpi.FailureInfo)) {
-	w.mu.Lock()
-	w.handler = fn
-	if fn != nil && w.notified == nil {
-		w.notified = make(map[int]bool)
-	}
-	w.cond.Broadcast()
-	w.mu.Unlock()
+	w.fault.SetHandler(fn)
+	w.box.Wake(w.rank)
 }
 
 // FailureAck implements mpi.Comm: it acknowledges every death observed
 // so far (clearing ErrFailurePending until the next one) and returns
 // the acknowledged failed ranks in ascending order.
-func (w *Worker) FailureAck() []int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.ackedDeaths = w.deaths
-	var acked []int
-	for r, d := range w.dead {
-		if d {
-			acked = append(acked, r)
-		}
-	}
-	return acked
-}
-
-// fireHandler invokes the errhandler for deaths it has not yet been
-// told about. The fresh set is collected under the lock but the handler
-// runs outside it, so a handler may call FailureAck, Agree, or Shrink.
-func (w *Worker) fireHandler(err error) {
-	if !isNotifiableErr(err) {
-		return
-	}
-	w.mu.Lock()
-	if w.handler == nil {
-		w.mu.Unlock()
-		return
-	}
-	fn := w.handler
-	var fresh []int
-	for r, d := range w.dead {
-		if d && !w.notified[r] {
-			w.notified[r] = true
-			fresh = append(fresh, r)
-		}
-	}
-	w.mu.Unlock()
-	for _, r := range fresh {
-		fn(mpi.FailureInfo{Rank: r})
-	}
-}
-
-func isNotifiableErr(err error) bool {
-	return errors.Is(err, mpi.ErrPeerDead) || errors.Is(err, mpi.ErrFailurePending)
-}
+func (w *Worker) FailureAck() []int { return w.fault.Ack(&w.st) }
 
 // ftStart opens a fault-tolerant collective round: it bumps the request
 // sequence (stale results from an interrupted round are ignored by the
 // seq echo) after verifying the endpoint may still participate. The
 // caller holds ftMu.
 func (w *Worker) ftStart() (int32, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	switch {
-	case w.aborted, w.connDown:
-		return 0, mpi.ErrAborted
-	case w.killed:
-		return 0, mpi.ErrKilled
-	case w.interrupted:
-		return 0, mpi.ErrInterrupted
+	if err := w.st.ErrIfDown(w.rank); err != nil {
+		return 0, err
 	}
+	w.box.Lock()
+	defer w.box.Unlock()
 	w.ftSeq++
 	w.ftDone = false
 	return w.ftSeq, nil
@@ -519,21 +395,16 @@ func (w *Worker) ftStart() (int32, error) {
 // ftWait parks until the round identified by seq completes or the
 // endpoint leaves the world (abort, own death, epoch interrupt).
 func (w *Worker) ftWait(seq int32) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	w.box.Lock()
+	defer w.box.Unlock()
 	for {
-		switch {
-		case w.aborted, w.connDown:
-			return mpi.ErrAborted
-		case w.killed:
-			return mpi.ErrKilled
-		case w.interrupted:
-			return mpi.ErrInterrupted
+		if err := w.st.ErrIfDown(w.rank); err != nil {
+			return err
 		}
 		if w.ftDone && w.ftSeq == seq {
 			return nil
 		}
-		w.cond.Wait()
+		w.ftCond.Wait()
 	}
 }
 
@@ -558,9 +429,9 @@ func (w *Worker) Agree(flag bool) (bool, error) {
 	if err := w.ftWait(seq); err != nil {
 		return false, err
 	}
-	w.mu.Lock()
+	w.box.Lock()
 	out := w.ftFlag
-	w.mu.Unlock()
+	w.box.Unlock()
 	return out, nil
 }
 
@@ -574,20 +445,7 @@ func (w *Worker) Shrink() (mpi.Comm, error) {
 	if err != nil {
 		return nil, err
 	}
-	member := false
-	for _, r := range survivors {
-		if r == w.rank {
-			member = true
-			break
-		}
-	}
-	if !member {
-		// This rank died (or was announced dead) while the round ran; it
-		// cannot continue in a communicator it is not part of.
-		return nil, mpi.ErrKilled
-	}
-	w.FailureAck() // Shrink implies failure_ack at the transport level
-	return mpi.NewShrunk(w, survivors)
+	return mpi.FinishShrink(w, survivors)
 }
 
 func (w *Worker) shrinkRound() ([]int, error) {
@@ -602,74 +460,11 @@ func (w *Worker) shrinkRound() ([]int, error) {
 	if err := w.ftWait(seq); err != nil {
 		return nil, err
 	}
-	w.mu.Lock()
+	w.box.Lock()
 	survivors := make([]int, len(w.ftSurvivors))
 	copy(survivors, w.ftSurvivors)
-	w.mu.Unlock()
+	w.box.Unlock()
 	return survivors, nil
-}
-
-// matchLocked returns the index of the first queued message matching
-// (src, tag); scanning in arrival order preserves FIFO per (src, tag).
-func (w *Worker) matchLocked(src, tag int) (int, bool) {
-	for i := range w.queue {
-		m := &w.queue[i]
-		if (src == mpi.AnySource || m.Source == src) && (tag == mpi.AnyTag || m.Tag == tag) {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-// takeLocked removes and returns queue[i], recording the delivery.
-func (w *Worker) takeLocked(i int) mpi.Message {
-	m := w.queue[i]
-	copy(w.queue[i:], w.queue[i+1:])
-	w.queue[len(w.queue)-1] = mpi.Message{}
-	w.queue = w.queue[:len(w.queue)-1]
-	w.recvd[m.Source]++
-	return m
-}
-
-// errIfDownLocked mirrors the simulated backend's priority: abort, own
-// death, epoch interrupt, then awaited-peer death.
-func (w *Worker) errIfDownLocked(src int) error {
-	switch {
-	case w.aborted, w.connDown:
-		return mpi.ErrAborted
-	case w.killed:
-		return mpi.ErrKilled
-	case w.interrupted:
-		return mpi.ErrInterrupted
-	case src != mpi.AnySource && w.dead[src]:
-		return mpi.ErrPeerDead
-	case src == mpi.AnySource && w.handler != nil && w.ackedDeaths < w.deaths:
-		// A handler-bearing endpoint must observe unacknowledged deaths
-		// before blocking on a wildcard: the awaited sender may be dead.
-		return mpi.ErrFailurePending
-	}
-	return nil
-}
-
-// tryRecvLocked-style non-blocking receive for request.Test.
-func (w *Worker) tryRecv(src, tag int) (mpi.Message, bool, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if i, ok := w.matchLocked(src, tag); ok {
-		return w.takeLocked(i), true, nil
-	}
-	if err := w.errIfDownLocked(src); err != nil {
-		return mpi.Message{}, true, err
-	}
-	return mpi.Message{}, false, nil
-}
-
-// purgeLocked discards the interrupted epoch's queued traffic.
-func (w *Worker) purgeLocked() {
-	for i := range w.queue {
-		w.queue[i].Release()
-	}
-	w.queue = w.queue[:0]
 }
 
 func (w *Worker) writeFrame(f mpi.Frame) error {
@@ -687,13 +482,20 @@ func (w *Worker) writeControl(typ byte) error {
 	return w.writeFrame(mpi.Frame{Type: typ, Src: int32(w.rank), Dst: -1, Tag: 0})
 }
 
+// markConnDown reads a lost hub connection as a torn-down world.
 func (w *Worker) markConnDown() {
-	w.mu.Lock()
-	if !w.connDown {
-		w.connDown = true
-		w.cond.Broadcast()
+	if !w.st.Aborted.Swap(true) {
+		w.wake()
 	}
-	w.mu.Unlock()
+}
+
+// wake unparks every waiter — receives and an FT round — so each
+// re-checks the liveness state it waits on.
+func (w *Worker) wake() {
+	w.box.WakeAll()
+	w.box.Lock()
+	w.ftCond.Broadcast()
+	w.box.Unlock()
 }
 
 // readLoop drains the coordinator connection until it fails; a lost
@@ -711,94 +513,68 @@ func (w *Worker) readLoop() {
 }
 
 func (w *Worker) handleFrame(f mpi.Frame, pb *mpi.PooledBuf) {
-	release := func() {
-		if pb != nil {
+	if f.Type == frameData {
+		// Traffic addressed to a dead incarnation of this rank, or from a
+		// peer already announced dead, belongs to a closed epoch: the
+		// engine drops it.
+		if src := int(f.Src); src >= 0 && src < w.size {
+			w.box.Deposit(&w.st, w.rank, src, int(f.Tag), f.Payload, pb)
+		} else {
 			pb.Release()
 		}
+		return
 	}
+	defer pb.Release() // a control frame's payload is decoded, never kept
 	switch f.Type {
-	case frameData:
-		src := int(f.Src)
-		w.mu.Lock()
-		// Traffic addressed to a dead incarnation of this rank, or from a
-		// peer already announced dead, belongs to a closed epoch: drop it.
-		if w.killed || w.aborted || src < 0 || src >= w.size || w.dead[src] {
-			w.mu.Unlock()
-			release()
-			return
-		}
-		w.queue = append(w.queue, mpi.NewMessage(src, int(f.Tag), f.Payload, pb))
-		w.cond.Broadcast()
-		w.mu.Unlock()
+	// Peers' deaths and revivals only: this rank's own bit is its
+	// killed flag, which frameKilled alone sets.
 	case frameDead:
-		w.mu.Lock()
-		if r := int(f.Src); r >= 0 && r < w.size && !w.dead[r] {
-			w.dead[r] = true
-			w.deaths++
+		if r := int(f.Src); r >= 0 && r < w.size && r != w.rank && w.st.Kill(r) {
+			w.box.WakeAll()
 		}
-		w.cond.Broadcast()
-		w.mu.Unlock()
-		release()
 	case frameRevive:
-		w.mu.Lock()
-		if r := int(f.Src); r >= 0 && r < w.size {
-			w.dead[r] = false
+		if r := int(f.Src); r >= 0 && r < w.size && r != w.rank {
+			w.st.Dead.Clear(r)
 		}
-		w.cond.Broadcast()
-		w.mu.Unlock()
-		release()
 	case frameInterrupt:
-		w.mu.Lock()
-		w.interrupted = true
-		w.cond.Broadcast()
-		w.mu.Unlock()
-		release()
+		w.st.Interrupted.Store(true)
+		w.wake()
 		_ = w.writeControl(frameInterruptAck)
 	case frameResume:
-		w.mu.Lock()
-		w.purgeLocked()
+		w.box.Purge(w.rank)
 		for i := range w.sent {
-			w.sent[i], w.recvd[i] = 0, 0
+			w.sent[i].Store(0)
+			w.recvd[i].Store(0)
 		}
-		w.interrupted = false
-		w.cond.Broadcast()
-		w.mu.Unlock()
-		release()
+		w.st.Interrupted.Store(false)
+		w.wake()
 		_ = w.writeControl(frameResumeAck)
 	case frameAbort:
-		w.mu.Lock()
-		w.aborted = true
-		w.cond.Broadcast()
-		w.mu.Unlock()
-		release()
+		w.st.Aborted.Store(true)
+		w.wake()
 	case frameKilled:
-		w.mu.Lock()
-		w.killed = true
-		w.cond.Broadcast()
-		w.mu.Unlock()
-		release()
+		w.st.Kill(w.rank)
+		w.wake()
 	case frameAgreeResult:
-		w.mu.Lock()
-		if f.Tag == w.ftSeq && !w.ftDone {
-			w.ftDone = true
-			w.ftFlag = len(f.Payload) > 0 && f.Payload[0] != 0
-			w.cond.Broadcast()
-		}
-		w.mu.Unlock()
-		release()
+		flag := len(f.Payload) > 0 && f.Payload[0] != 0
+		w.ftComplete(f.Tag, func() { w.ftFlag = flag })
 	case frameShrinkResult:
-		survivors, err := decodeSurvivors(f.Payload)
-		w.mu.Lock()
-		if err == nil && f.Tag == w.ftSeq && !w.ftDone {
-			w.ftDone = true
-			w.ftSurvivors = survivors
-			w.cond.Broadcast()
+		if survivors, err := decodeSurvivors(f.Payload); err == nil {
+			w.ftComplete(f.Tag, func() { w.ftSurvivors = survivors })
 		}
-		w.mu.Unlock()
-		release()
-	default:
-		release()
 	}
+}
+
+// ftComplete records an FT round's result, through set, if it answers
+// the round in flight.
+func (w *Worker) ftComplete(seq int32, set func()) {
+	w.box.Lock()
+	if seq == w.ftSeq && !w.ftDone {
+		w.ftDone = true
+		set()
+		w.ftCond.Broadcast()
+	}
+	w.box.Unlock()
 }
 
 func (w *Worker) heartbeatLoop(interval time.Duration) {
@@ -814,61 +590,4 @@ func (w *Worker) heartbeatLoop(interval time.Duration) {
 			}
 		}
 	}
-}
-
-// request implements mpi.Request for worker operations.
-type request struct {
-	w      *Worker
-	src    int
-	tag    int
-	isRecv bool
-
-	mu   sync.Mutex
-	done bool
-	st   mpi.Status
-	msg  mpi.Message
-	err  error
-}
-
-var _ mpi.Request = (*request)(nil)
-
-func statusOf(msg mpi.Message) mpi.Status {
-	return mpi.Status{Source: msg.Source, Tag: msg.Tag, Len: len(msg.Data)}
-}
-
-func (r *request) Wait() (mpi.Message, mpi.Status, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.done {
-		return r.msg, r.st, r.err
-	}
-	msg, err := r.w.Recv(r.src, r.tag)
-	r.done = true
-	r.err = err
-	if err == nil {
-		r.msg = msg
-		r.st = statusOf(msg)
-	}
-	return r.msg, r.st, r.err
-}
-
-func (r *request) Test() (bool, mpi.Message, mpi.Status, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.done {
-		return true, r.msg, r.st, r.err
-	}
-	msg, ok, err := r.w.tryRecv(r.src, r.tag)
-	if !ok {
-		return false, mpi.Message{}, mpi.Status{}, nil
-	}
-	r.done = true
-	r.err = err
-	if err == nil {
-		r.msg = msg
-		r.st = statusOf(msg)
-	} else {
-		r.w.fireHandler(err)
-	}
-	return true, r.msg, r.st, r.err
 }

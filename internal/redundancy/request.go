@@ -13,10 +13,7 @@ import (
 // around request sets runs unchanged).
 func (c *Comm) Isend(dst, tag int, data []byte) (mpi.Request, error) {
 	err := c.Send(dst, tag, data)
-	return &sendRequest{
-		st:  mpi.Status{Source: c.me.Virtual, Tag: tag, Len: len(data)},
-		err: err,
-	}, nil
+	return mpi.Fulfilled(mpi.Status{Source: c.me.Virtual, Tag: tag, Len: len(data)}, err), nil
 }
 
 // Irecv starts a non-blocking virtual receive. Following the paper's §3
@@ -51,22 +48,6 @@ func (c *Comm) Irecv(src, tag int) (mpi.Request, error) {
 		reqs = append(reqs, r)
 	}
 	return &recvRequest{c: c, src: src, tag: tag, physReqs: reqs}, nil
-}
-
-// sendRequest is a fulfilled handle for an eager redundant send.
-type sendRequest struct {
-	st  mpi.Status
-	err error
-}
-
-var _ mpi.Request = (*sendRequest)(nil)
-
-func (r *sendRequest) Wait() (mpi.Message, mpi.Status, error) {
-	return mpi.Message{}, r.st, r.err
-}
-
-func (r *sendRequest) Test() (bool, mpi.Message, mpi.Status, error) {
-	return true, mpi.Message{}, r.st, r.err
 }
 
 // recvRequest identifies a set of physical receives (paper §3: "RedMPI

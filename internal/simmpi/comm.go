@@ -79,14 +79,17 @@ type Comm struct {
 	sent peerCounts
 	recv peerCounts
 
+	// stripe is the receive-engine stripe holding this rank's box.
+	stripe *mpi.Stripe
 	// fault is the ULFM-style notification state (see fault.go).
-	fault faultState
+	fault mpi.Notifier
 }
 
 var (
 	_ mpi.Comm         = (*Comm)(nil)
 	_ mpi.CountTracker = (*Comm)(nil)
 	_ mpi.SharedSender = (*Comm)(nil)
+	_ mpi.Receiver     = (*Comm)(nil)
 )
 
 // Rank returns this endpoint's rank.
@@ -114,14 +117,8 @@ func (c *Comm) sendPrologue(dst, tag int, n int) (ok bool, err error) {
 		return false, err
 	}
 	w := c.world
-	if w.aborted.Load() {
-		return false, mpi.ErrAborted
-	}
-	if w.dead.get(c.rank) {
-		return false, mpi.ErrKilled
-	}
-	if w.interrupted.Load() {
-		return false, mpi.ErrInterrupted
+	if err := w.st.ErrIfDown(c.rank); err != nil {
+		return false, err
 	}
 	c.sent.add(dst)
 	w.met.sends.AddAt(c.rank, 1)
@@ -132,7 +129,7 @@ func (c *Comm) sendPrologue(dst, tag int, n int) (ok bool, err error) {
 		// the destination is alive, like a NIC pushing into the fabric.
 		time.Sleep(d)
 	}
-	if w.dead.get(dst) {
+	if w.st.Dead.Get(dst) {
 		w.met.drops.Inc()
 		w.flight.Emit("drop", c.rank, -1, tag, int64(dst))
 		return false, nil
@@ -163,9 +160,7 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 		}
 		copy(buf, data)
 	}
-	if !c.world.table.deposit(dst, c.rank, tag, buf, pb) && pb != nil {
-		pb.Release() // dropped at the door (dead/aborted/interrupted)
-	}
+	c.world.table.deposit(dst, c.rank, tag, buf, pb)
 	return nil
 }
 
@@ -196,11 +191,9 @@ func (c *Comm) SendPooled(dst, tag int, data []byte, pb *mpi.PooledBuf) error {
 	// Retain before publication: the receiver may consume and release
 	// the very moment the deposit lands.
 	pb.Retain()
-	if !c.world.table.deposit(dst, c.rank, tag, data, pb) {
-		pb.Release()
-		return nil
+	if c.world.table.deposit(dst, c.rank, tag, data, pb) {
+		c.world.met.copiesElided.AddAt(c.rank, 1)
 	}
-	c.world.met.copiesElided.AddAt(c.rank, 1)
 	return nil
 }
 
@@ -211,13 +204,20 @@ func (c *Comm) Recv(src, tag int) (mpi.Message, error) {
 			return mpi.Message{}, err
 		}
 	}
-	msg, err := c.world.table.receive(c.rank, src, tag)
-	if err != nil {
-		c.fireHandler(err)
-		return mpi.Message{}, err
+	msg, err := c.stripe.Receive(&c.world.st, &c.fault, c.rank, src, tag)
+	if err == nil {
+		c.noteRecv(msg.Source)
 	}
-	c.noteRecv(msg.Source)
-	return msg, nil
+	return msg, err
+}
+
+// TryRecv implements mpi.Receiver: a receive that does not block.
+func (c *Comm) TryRecv(src, tag int) (mpi.Message, bool, error) {
+	msg, done, err := c.world.table.tryReceive(c.rank, src, tag)
+	if done && err == nil {
+		c.noteRecv(msg.Source)
+	}
+	return msg, done, err
 }
 
 // noteRecv performs per-peer and world-level receive bookkeeping.
@@ -233,11 +233,7 @@ func (c *Comm) Probe(src, tag int) (mpi.Status, error) {
 			return mpi.Status{}, err
 		}
 	}
-	st, err := c.world.table.probe(c.rank, src, tag)
-	if err != nil {
-		c.fireHandler(err)
-	}
-	return st, err
+	return c.stripe.Probe(&c.world.st, &c.fault, c.rank, src, tag)
 }
 
 // Isend starts a non-blocking send. Because sends are eager, the
@@ -245,16 +241,7 @@ func (c *Comm) Probe(src, tag int) (mpi.Status, error) {
 // handle carrying any error.
 func (c *Comm) Isend(dst, tag int, data []byte) (mpi.Request, error) {
 	err := c.Send(dst, tag, data)
-	return &request{
-		done: true,
-		st:   mpi.Status{Source: c.rank, Tag: tag, Len: len(data)},
-		err:  err,
-	}, nil
-}
-
-// statusOf derives a completion status from a delivered message.
-func statusOf(msg mpi.Message) mpi.Status {
-	return mpi.Status{Source: msg.Source, Tag: msg.Tag, Len: len(msg.Data)}
+	return mpi.Fulfilled(mpi.Status{Source: c.rank, Tag: tag, Len: len(data)}, err), nil
 }
 
 // Irecv starts a non-blocking receive. Completion is lazy: the matching
@@ -266,7 +253,7 @@ func (c *Comm) Irecv(src, tag int) (mpi.Request, error) {
 			return nil, err
 		}
 	}
-	return &request{comm: c, src: src, tag: tag, isRecv: true}, nil
+	return mpi.NewRecvRequest(c, src, tag), nil
 }
 
 // SentCounts implements mpi.CountTracker.
@@ -288,63 +275,4 @@ func (c *Comm) resetCounts() {
 // quiescence.
 func (c *Comm) PendingMessages() int {
 	return c.world.table.pending(c.rank)
-}
-
-// request implements mpi.Request for simmpi operations.
-type request struct {
-	comm   *Comm
-	src    int
-	tag    int
-	isRecv bool
-
-	mu   sync.Mutex
-	done bool
-	st   mpi.Status
-	msg  mpi.Message
-	err  error
-}
-
-var _ mpi.Request = (*request)(nil)
-
-// Wait blocks until the operation completes and returns the delivered
-// message (zero for sends), its status, and any error. Buffer ownership
-// transfers to the caller with the message (see mpi.Message.Data).
-func (r *request) Wait() (mpi.Message, mpi.Status, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.done {
-		return r.msg, r.st, r.err
-	}
-	msg, err := r.comm.Recv(r.src, r.tag)
-	r.done = true
-	r.err = err
-	if err == nil {
-		r.msg = msg
-		r.st = statusOf(msg)
-	}
-	return r.msg, r.st, r.err
-}
-
-// Test polls for completion without blocking.
-func (r *request) Test() (bool, mpi.Message, mpi.Status, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.done {
-		return true, r.msg, r.st, r.err
-	}
-	msg, ok, err := r.comm.world.table.tryReceive(r.comm.rank, r.src, r.tag)
-	if !ok {
-		return false, mpi.Message{}, mpi.Status{}, nil
-	}
-	r.done = true
-	r.err = err
-	if err != nil {
-		r.comm.fireHandler(err)
-	}
-	if err == nil {
-		r.comm.noteRecv(msg.Source)
-		r.msg = msg
-		r.st = statusOf(msg)
-	}
-	return true, r.msg, r.st, r.err
 }

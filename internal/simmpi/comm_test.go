@@ -388,10 +388,9 @@ func TestLateDepositFromKilledSenderDropped(t *testing.T) {
 		t.Fatalf("recv err = %v, want ErrPeerDead", err)
 	}
 	buf, pb := w.pool.Acquire(8)
-	if w.table.deposit(1, 0, 7, buf, pb) {
+	if w.table.deposit(1, 0, 7, buf, pb) { // a refused deposit releases pb
 		t.Fatal("deposit from a killed sender accepted")
 	}
-	pb.Release()
 	if _, err := c1.Recv(0, 7); !errors.Is(err, mpi.ErrPeerDead) {
 		t.Fatalf("second recv err = %v, want ErrPeerDead (no stale message)", err)
 	}

@@ -147,7 +147,7 @@ func TestResumeResetsCommCounters(t *testing.T) {
 
 func TestInterruptReviveCountersExposed(t *testing.T) {
 	reg := obs.NewRegistry()
-	w, err := NewWorld(2, WithObs(reg))
+	w, err := NewWorld(2, mpi.WithObs(reg))
 	if err != nil {
 		t.Fatal(err)
 	}

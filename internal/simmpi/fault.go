@@ -1,98 +1,21 @@
 package simmpi
 
 import (
-	"errors"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/mpi"
 )
 
-// faultState is one communicator's slice of the ULFM-style notification
-// surface: the installed errhandler, the set of failures already
-// delivered to it, and the acknowledgement watermark that gates
-// wildcard operations (mpi.ErrFailurePending fires while ack lags the
-// world's death sequence).
-type faultState struct {
-	mu       sync.Mutex
-	handler  func(mpi.FailureInfo)
-	notified map[int]bool
-
-	// has mirrors handler != nil so the hot receive path can skip the
-	// whole machinery with one atomic load; ack is the world deathSeq
-	// watermark this communicator has acknowledged.
-	has atomic.Bool
-	ack atomic.Uint64
-}
-
 // SetErrhandler implements mpi.Comm.
 func (c *Comm) SetErrhandler(fn func(mpi.FailureInfo)) {
-	c.fault.mu.Lock()
-	c.fault.handler = fn
-	c.fault.mu.Unlock()
-	c.fault.has.Store(fn != nil)
-}
-
-// failurePending reports whether an unacknowledged failure should stop
-// this communicator's wildcard operations. Only handler-bearing
-// communicators opt in, so legacy code keeps the block-until-abort
-// behavior unchanged.
-func (c *Comm) failurePending() bool {
-	return c.fault.has.Load() && c.fault.ack.Load() < c.world.deathSeq.Load()
-}
-
-// fireHandler delivers not-yet-notified failures to the errhandler. It
-// is called from the communication paths that observe a failure-class
-// error; the handler runs outside the fault lock so it may call
-// FailureAck / Shrink / Agree itself.
-func (c *Comm) fireHandler(err error) {
-	if err == nil || !c.fault.has.Load() {
-		return
-	}
-	if !errors.Is(err, mpi.ErrPeerDead) && !errors.Is(err, mpi.ErrFailurePending) {
-		return
-	}
-	c.fault.mu.Lock()
-	fn := c.fault.handler
-	if fn == nil {
-		c.fault.mu.Unlock()
-		return
-	}
-	if c.fault.notified == nil {
-		c.fault.notified = make(map[int]bool)
-	}
-	var fresh []int
-	c.world.dead.forEachSet(func(r int) {
-		if !c.fault.notified[r] {
-			c.fault.notified[r] = true
-			fresh = append(fresh, r)
-		}
-	})
-	c.fault.mu.Unlock()
-	for _, r := range fresh {
-		fn(mpi.FailureInfo{Rank: r})
-	}
+	c.fault.SetHandler(fn)
+	c.stripe.Wake(c.rank)
 }
 
 // FailureAck implements mpi.Comm: it acknowledges the failures observed
 // so far (wildcards proceed past them afterwards) and returns the
 // currently-dead ranks in ascending order.
-func (c *Comm) FailureAck() []int {
-	w := c.world
-	seq := w.deathSeq.Load()
-	c.fault.mu.Lock()
-	if c.fault.notified == nil {
-		c.fault.notified = make(map[int]bool)
-	}
-	var acked []int
-	w.dead.forEachSet(func(r int) {
-		c.fault.notified[r] = true
-		acked = append(acked, r)
-	})
-	c.fault.ack.Store(seq)
-	c.fault.mu.Unlock()
-	return acked
-}
+func (c *Comm) FailureAck() []int { return c.fault.Ack(&c.world.st) }
 
 // Agree implements mpi.Comm: the fault-tolerant AND across survivors.
 // Contributions from ranks that fail during the call may or may not be
@@ -103,7 +26,7 @@ func (c *Comm) Agree(flag bool) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if c.world.dead.get(c.rank) {
+	if c.world.st.Dead.Get(c.rank) {
 		return false, mpi.ErrKilled
 	}
 	return res.flag, nil
@@ -118,19 +41,12 @@ func (c *Comm) Shrink() (mpi.Comm, error) {
 	if err != nil {
 		return nil, err
 	}
-	member := false
-	for _, r := range res.survivors {
-		if r == c.rank {
-			member = true
-			break
-		}
-	}
-	if !member {
-		return nil, mpi.ErrKilled
+	sc, err := mpi.FinishShrink(c, res.survivors)
+	if err != nil {
+		return nil, err
 	}
 	c.world.flight.Emit("shrink", c.rank, -1, len(res.survivors), 0)
-	c.FailureAck() // Shrink implies failure_ack at the transport level
-	return mpi.NewShrunk(c, res.survivors)
+	return sc, nil
 }
 
 // ftRound is one invocation of a fault-tolerant collective. Completion
@@ -178,7 +94,7 @@ func (g *ftGate) newRound() *ftRound {
 // abort, interrupt).
 func (g *ftGate) run(rank int, flag bool) (ftRound, error) {
 	w := g.w
-	if err := w.errIfDown(rank, rank); err != nil {
+	if err := w.st.ErrIfDown(rank); err != nil {
 		return ftRound{}, err
 	}
 	g.mu.Lock()
@@ -191,21 +107,21 @@ func (g *ftGate) run(rank int, flag bool) (ftRound, error) {
 	if !flag {
 		r.flag = false
 	}
-	if !w.dead.get(rank) {
+	if !w.st.Dead.Get(rank) {
 		r.counted[rank] = true
 		r.liveIn++
 	}
 	g.checkCompleteLocked(r)
 	for !r.completed {
-		if w.aborted.Load() {
+		if w.st.Aborted.Load() {
 			g.mu.Unlock()
 			return ftRound{}, mpi.ErrAborted
 		}
-		if w.interrupted.Load() {
+		if w.st.Interrupted.Load() {
 			g.mu.Unlock()
 			return ftRound{}, mpi.ErrInterrupted
 		}
-		if w.dead.get(rank) {
+		if w.st.Dead.Get(rank) {
 			g.mu.Unlock()
 			return ftRound{}, mpi.ErrKilled
 		}
@@ -220,14 +136,14 @@ func (g *ftGate) run(rank int, flag bool) (ftRound, error) {
 // arrived. The live snapshot taken here is the round's survivor set.
 func (g *ftGate) checkCompleteLocked(r *ftRound) {
 	w := g.w
-	if r.completed || w.aborted.Load() || w.interrupted.Load() {
+	if r.completed || w.st.Aborted.Load() || w.st.Interrupted.Load() {
 		return
 	}
 	if r.liveIn == 0 || r.liveIn != int(w.alive.Load()) {
 		return
 	}
 	r.completed = true
-	w.dead.forEachClear(func(p int) { r.survivors = append(r.survivors, p) })
+	w.st.Dead.ForEachClear(func(p int) { r.survivors = append(r.survivors, p) })
 	g.cur = g.newRound()
 	g.cond.Broadcast()
 }

@@ -11,7 +11,7 @@ import (
 
 func TestWorldCountersTrackTraffic(t *testing.T) {
 	reg := obs.NewRegistry()
-	w, err := NewWorld(2, WithObs(reg))
+	w, err := NewWorld(2, mpi.WithObs(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestWorldDefaultPrivateRegistry(t *testing.T) {
 }
 
 func TestWorldObsNilDisablesTelemetry(t *testing.T) {
-	w, err := NewWorld(2, WithObs(nil))
+	w, err := NewWorld(2, mpi.WithObs(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestWorldObsNilDisablesTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	if w.Obs() != nil {
-		t.Fatal("WithObs(nil) kept a registry")
+		t.Fatal("mpi.WithObs(nil) kept a registry")
 	}
 }
 
@@ -138,13 +138,13 @@ func benchWorld(b *testing.B, opts ...Option) {
 }
 
 // BenchmarkObsOverhead compares the enabled-registry hot path against
-// the no-op (WithObs(nil)) path on a message-passing stress workload.
+// the no-op (mpi.WithObs(nil)) path on a message-passing stress workload.
 // CI guards the ratio via TestObsOverheadBudget.
 func BenchmarkObsOverhead(b *testing.B) {
-	b.Run("enabled", func(b *testing.B) { benchWorld(b, WithObs(obs.NewRegistry())) })
-	b.Run("disabled", func(b *testing.B) { benchWorld(b, WithObs(nil)) })
+	b.Run("enabled", func(b *testing.B) { benchWorld(b, mpi.WithObs(obs.NewRegistry())) })
+	b.Run("disabled", func(b *testing.B) { benchWorld(b, mpi.WithObs(nil)) })
 	b.Run("flight", func(b *testing.B) {
-		benchWorld(b, WithObs(obs.NewRegistry()), mpi.WithFlight(obs.NewRecorder(0, false)))
+		benchWorld(b, mpi.WithObs(obs.NewRegistry()), mpi.WithFlight(obs.NewRecorder(0, false)))
 	})
 }
 
@@ -177,15 +177,15 @@ func TestObsOverheadBudget(t *testing.T) {
 	big := time.Duration(1 << 62)
 	minEnabled, minDisabled, minFlight := big, big, big
 	// Warm-up pass to fault in code paths before timing.
-	measure(WithObs(nil))
+	measure(mpi.WithObs(nil))
 	for i := 0; i < trials; i++ {
-		if d := measure(WithObs(obs.NewRegistry())); d < minEnabled {
+		if d := measure(mpi.WithObs(obs.NewRegistry())); d < minEnabled {
 			minEnabled = d
 		}
-		if d := measure(WithObs(nil)); d < minDisabled {
+		if d := measure(mpi.WithObs(nil)); d < minDisabled {
 			minDisabled = d
 		}
-		if d := measure(WithObs(obs.NewRegistry()),
+		if d := measure(mpi.WithObs(obs.NewRegistry()),
 			mpi.WithFlight(obs.NewRecorder(0, false))); d < minFlight {
 			minFlight = d
 		}

@@ -50,7 +50,7 @@ func (r *refRuntime) send(src, dst, tag int, data []byte) error {
 	return nil
 }
 
-// errIfDown mirrors World.errIfDown's check order.
+// errIfDown mirrors the check order of the engine's receive path.
 func (r *refRuntime) errIfDown(owner, src int) error {
 	if r.dead[owner] {
 		return mpi.ErrKilled
@@ -64,7 +64,7 @@ func (r *refRuntime) errIfDown(owner, src int) error {
 	return nil
 }
 
-// tryRecv mirrors mboxTable.tryReceive: match strictly precedes the
+// tryRecv mirrors mpi.Stripe.TryReceive: match strictly precedes the
 // liveness check, so queued messages drain even from a dead owner or an
 // awaited peer that died after sending.
 func (r *refRuntime) tryRecv(owner, src, tag int) (refMsg, bool, error) {
@@ -100,4 +100,9 @@ func (r *refRuntime) resume() {
 		r.queues[i] = nil
 	}
 	r.interrupted = false
+}
+
+func matchesSelector(src, tag, wantSrc, wantTag int) bool {
+	return (wantSrc == mpi.AnySource || src == wantSrc) &&
+		(wantTag == mpi.AnyTag || tag == wantTag)
 }

@@ -125,7 +125,7 @@ func TestWildcardUnderHeavyInterleaving(t *testing.T) {
 // TestSendDelayChargesSender verifies the WithSendDelay emulation: the
 // sender's wallclock dilates with its message count.
 func TestSendDelayChargesSender(t *testing.T) {
-	w, err := NewWorld(2, WithSendDelay(0))
+	w, err := NewWorld(2, mpi.WithSendDelay(0))
 	if err != nil {
 		t.Fatal(err)
 	}

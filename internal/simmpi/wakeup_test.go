@@ -12,10 +12,7 @@ import (
 func parkedWaiters(w *World) int {
 	total := 0
 	for i := range w.table.shards {
-		s := &w.table.shards[i]
-		s.mu.Lock()
-		total += s.nwaiters
-		s.mu.Unlock()
+		total += w.table.shards[i].Waiters()
 	}
 	return total
 }

@@ -20,6 +20,7 @@
 package simmpi
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -37,20 +38,16 @@ type World struct {
 	table     *mboxTable
 	comms     []*Comm
 
-	// pool is the payload buffer arena; nil when pooling is disabled
-	// (mpi.WithoutPooling), in which case every send allocates fresh.
-	pool *arena
+	// pool is the payload buffer arena, the process-wide
+	// mpi.SharedArena; nil when pooling is disabled (mpi.WithoutPooling),
+	// in which case every send allocates fresh.
+	pool *mpi.Arena
 
-	dead        *atomicBitset
-	alive       atomic.Int64
-	aborted     atomic.Bool
-	interrupted atomic.Bool
-
-	// deathSeq increments on every kill; communicators compare it
-	// against their per-comm acknowledgement watermark to decide whether
-	// an unacknowledged failure should fail wildcard operations with
-	// mpi.ErrFailurePending (only when an errhandler is installed).
-	deathSeq atomic.Uint64
+	// st is the liveness and epoch state every rank's receive engine
+	// checks; its DeathSeq is what a communicator's notifier compares
+	// against its acknowledgement watermark.
+	st    mpi.State
+	alive atomic.Int64
 
 	// agreeGate and shrinkGate host the two fault-tolerant collectives
 	// (mpi.Comm.Agree / Shrink): live-arrival barriers that kills excuse
@@ -113,28 +110,6 @@ func newWorldMetrics(reg *obs.Registry, size int) worldMetrics {
 // redundancy.Wrap, each constructor applying the fields it understands.
 type Option = mpi.Option
 
-// WithSendDelay makes every physical Send cost the sender the given
-// latency before the message is deposited. In-process channel transfer is
-// orders of magnitude faster than a cluster interconnect; this option
-// restores a realistic communication/computation ratio α and, because the
-// redundancy layer fans each virtual send into r physical sends, it makes
-// communication time dilate linearly in the redundancy degree exactly as
-// Eq. 1 of the paper models.
-//
-// Deprecated: use mpi.WithSendDelay.
-func WithSendDelay(d time.Duration) Option { return mpi.WithSendDelay(d) }
-
-// WithObs registers the world's runtime instruments (message, byte,
-// drop, kill, abort counters and the mailbox-depth high-water mark) in
-// the given registry, so an orchestrator can aggregate them with the
-// rest of a job's telemetry. Without this option each world keeps a
-// private registry, readable via Obs. Passing nil disables the world's
-// telemetry entirely (the no-op benchmark baseline); note Deaths then
-// reads as zero.
-//
-// Deprecated: use mpi.WithObs.
-func WithObs(reg *obs.Registry) Option { return mpi.WithObs(reg) }
-
 // NewWorld creates a world with n ranks, all alive. Options are the
 // shared mpi.Option set; NewWorld applies SendDelay, Obs, and pooling
 // and ignores the redundancy-layer fields (degree, hash comparison,
@@ -153,12 +128,12 @@ func NewWorld(n int, opts ...Option) (*World, error) {
 		size:      n,
 		sendDelay: o.SendDelay,
 		comms:     make([]*Comm, n),
-		dead:      newAtomicBitset(n),
 	}
+	w.st.Dead = mpi.NewBitset(n)
 	w.alive.Store(int64(n))
 	w.table = newMboxTable(w, n)
 	if !o.NoPooling {
-		w.pool = newArena()
+		w.pool = mpi.SharedArena()
 	}
 	if o.ObsSet {
 		w.reg = o.Obs
@@ -171,7 +146,7 @@ func NewWorld(n int, opts ...Option) (*World, error) {
 	w.shrinkGate = newFtGate(w)
 	dense := n <= denseCountThreshold
 	for i := range w.comms {
-		c := &Comm{world: w, rank: i}
+		c := &Comm{world: w, rank: i, stripe: w.table.shardFor(i)}
 		if dense {
 			c.sent.dense = make([]atomic.Uint64, n)
 			c.recv.dense = make([]atomic.Uint64, n)
@@ -198,30 +173,6 @@ func (w *World) Endpoint(rank int) (mpi.Comm, error) { return w.Comm(rank) }
 
 var _ mpi.Transport = (*World)(nil)
 
-// errIfDown returns the error that should abort an operation by owner
-// waiting on src, or nil if the owner may keep waiting.
-func (w *World) errIfDown(owner, src int) error {
-	if w.aborted.Load() {
-		return mpi.ErrAborted
-	}
-	if w.dead.get(owner) {
-		return mpi.ErrKilled
-	}
-	if w.interrupted.Load() {
-		return mpi.ErrInterrupted
-	}
-	if src != mpi.AnySource && w.dead.get(src) {
-		return mpi.ErrPeerDead
-	}
-	if src == mpi.AnySource && w.comms[owner].failurePending() {
-		// ULFM wildcard rule: with an errhandler installed, a wildcard
-		// must not block past an unacknowledged failure — the dead rank
-		// might have been the sender it was waiting for.
-		return mpi.ErrFailurePending
-	}
-	return nil
-}
-
 // Kill marks a rank failed (fail-stop). Its pending and future operations
 // error, messages addressed to it are dropped, and receives posted
 // against it by peers fail with mpi.ErrPeerDead. Killing a dead rank is a
@@ -236,11 +187,10 @@ func (w *World) Kill(rank int) {
 	if rank < 0 || rank >= w.size {
 		return
 	}
-	if w.dead.set(rank) {
+	if !w.st.Kill(rank) {
 		return
 	}
 	w.alive.Add(-1)
-	w.deathSeq.Add(1)
 	w.met.kills.Inc()
 	w.flight.Emit("dead", rank, -1, 0, 0)
 	w.livenessWakeups.Add(uint64(w.table.wakeAll()))
@@ -253,7 +203,7 @@ func (w *World) Alive(rank int) bool {
 	if rank < 0 || rank >= w.size {
 		return false
 	}
-	return !w.dead.get(rank)
+	return !w.st.Dead.Get(rank)
 }
 
 // AliveCount returns the number of live ranks in O(1).
@@ -265,15 +215,15 @@ func (w *World) AliveCount() int { return int(w.alive.Load()) }
 // Concurrent Kill/Revive make the iteration a racy view, not a snapshot;
 // call it from a quiesced world (epoch gate held, injector stopped) when
 // an exact set is needed.
-func (w *World) ForEachDead(fn func(rank int)) { w.dead.forEachSet(fn) }
+func (w *World) ForEachDead(fn func(rank int)) { w.st.Dead.ForEachSet(fn) }
 
 // ForEachLive calls fn for every live rank in ascending order. The same
 // snapshot caveat as ForEachDead applies.
-func (w *World) ForEachLive(fn func(rank int)) { w.dead.forEachClear(fn) }
+func (w *World) ForEachLive(fn func(rank int)) { w.st.Dead.ForEachClear(fn) }
 
 // Deaths returns the number of kills so far, read from the
 // simmpi_kills_total counter (zero when telemetry is disabled via
-// WithObs(nil)).
+// mpi.WithObs(nil)).
 func (w *World) Deaths() int { return int(w.met.kills.Value()) }
 
 // LivenessWakeups returns the cumulative number of registered waiters
@@ -288,13 +238,13 @@ func (w *World) Deaths() int { return int(w.met.kills.Value()) }
 func (w *World) LivenessWakeups() uint64 { return w.livenessWakeups.Load() }
 
 // Obs returns the registry holding this world's runtime instruments
-// (nil when telemetry was disabled with WithObs(nil)).
+// (nil when telemetry was disabled with mpi.WithObs(nil)).
 func (w *World) Obs() *obs.Registry { return w.reg }
 
 // Abort tears the world down: every blocked or future operation on any
 // rank returns mpi.ErrAborted. Used on job failure before a restart.
 func (w *World) Abort() {
-	if w.aborted.Swap(true) {
+	if w.st.Aborted.Swap(true) {
 		return
 	}
 	w.met.aborts.Inc()
@@ -305,7 +255,7 @@ func (w *World) Abort() {
 }
 
 // Aborted reports whether the world has been aborted.
-func (w *World) Aborted() bool { return w.aborted.Load() }
+func (w *World) Aborted() bool { return w.st.Aborted.Load() }
 
 // Interrupt pauses the current epoch: every blocked or future operation
 // on any rank returns mpi.ErrInterrupted (messages already queued can
@@ -314,7 +264,7 @@ func (w *World) Aborted() bool { return w.aborted.Load() }
 // to start a fresh epoch in which every rank restarts from the last
 // checkpoint. Interrupting an interrupted or aborted world is a no-op.
 func (w *World) Interrupt() {
-	if w.aborted.Load() || w.interrupted.Swap(true) {
+	if w.st.Aborted.Load() || w.st.Interrupted.Swap(true) {
 		return
 	}
 	w.met.interrupts.Inc()
@@ -325,7 +275,7 @@ func (w *World) Interrupt() {
 }
 
 // Interrupted reports whether the world is paused for recovery.
-func (w *World) Interrupted() bool { return w.interrupted.Load() }
+func (w *World) Interrupted() bool { return w.st.Interrupted.Load() }
 
 // Revive brings a dead rank back (the respawn half of rejoin support).
 // The rank's mailbox is wiped: its previous incarnation's unread traffic
@@ -336,13 +286,13 @@ func (w *World) Revive(rank int) {
 	if rank < 0 || rank >= w.size {
 		return
 	}
-	if !w.dead.clear(rank) {
+	if !w.st.Dead.Clear(rank) {
 		return
 	}
 	w.alive.Add(1)
 	w.met.revives.Inc()
 	w.flight.Emit("revive", rank, -1, 0, 0)
-	w.table.purgeRank(rank)
+	w.table.shardFor(rank).Purge(rank)
 }
 
 // Resume ends an interrupt and starts a fresh epoch: every mailbox with
@@ -354,14 +304,14 @@ func (w *World) Revive(rank int) {
 // shards' dirty lists — ranks untouched since the last sweep cost
 // nothing.
 func (w *World) Resume() {
-	if !w.interrupted.Load() {
+	if !w.st.Interrupted.Load() {
 		return
 	}
 	w.table.purgeAll()
 	for _, c := range w.comms {
 		c.resetCounts()
 	}
-	w.interrupted.Store(false)
+	w.st.Interrupted.Store(false)
 	w.flight.Emit("resume", -1, -1, 0, 0)
 	w.livenessWakeups.Add(uint64(w.table.wakeAll()))
 	w.agreeGate.reset()
@@ -415,4 +365,12 @@ func (w *World) Run(fn func(c *Comm) error) (appErr error, failureErrs []RankErr
 		}
 	}
 	return appErr, failureErrs
+}
+
+func isFailureErr(err error) bool {
+	return errors.Is(err, mpi.ErrKilled) ||
+		errors.Is(err, mpi.ErrPeerDead) ||
+		errors.Is(err, mpi.ErrAborted) ||
+		errors.Is(err, mpi.ErrInterrupted) ||
+		errors.Is(err, mpi.ErrFailurePending)
 }

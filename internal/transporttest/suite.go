@@ -2,7 +2,8 @@
 // backend must pass: the send/recv ordering law, wildcard receives,
 // collective round trips, CG's answer bits, fail-stop kill semantics (including the
 // match-first rule — a message queued before its sender died is still
-// delivered), and the Interrupt → Revive → Resume epoch protocol. The
+// delivered), the Interrupt → Revive → Resume epoch protocol, and the
+// receive engine's wakeup routing. The
 // simulated backend (simmpi) and the socket backend (procmpi) run the
 // same suite, which is what makes "transport-agnostic recovery" a tested
 // property instead of a design intention.
@@ -20,9 +21,9 @@ import (
 	"repro/internal/simmpi"
 )
 
-// Factory builds a transport of n physical ranks for one test; register
-// cleanup with t.Cleanup.
-type Factory func(t *testing.T, n int) mpi.Transport
+// Factory builds a transport of n physical ranks for one test or
+// benchmark; register cleanup with t.Cleanup.
+type Factory func(t testing.TB, n int) mpi.Transport
 
 // RunSuite runs every conformance test against the factory's backend.
 func RunSuite(t *testing.T, factory Factory) {
@@ -37,12 +38,18 @@ func RunSuite(t *testing.T, factory Factory) {
 	t.Run("AbortSemantics", func(t *testing.T) { testAbortSemantics(t, factory) })
 	t.Run("EpochRevive", func(t *testing.T) { testEpochRevive(t, factory) })
 	t.Run("Errhandler", func(t *testing.T) { testErrhandler(t, factory) })
+	t.Run("FailureAck", func(t *testing.T) { testFailureAck(t, factory) })
 	t.Run("Agree", func(t *testing.T) { testAgree(t, factory) })
 	t.Run("Shrink", func(t *testing.T) { testShrink(t, factory) })
 	t.Run("ShrinkRacesCollective", func(t *testing.T) { testShrinkRacesCollective(t, factory) })
+	t.Run("TargetedWakeupRoutesEachTagToItsWaiter", func(t *testing.T) { testTargetedWakeup(t, factory) })
+	t.Run("ProbePassesWakeupToReceiver", func(t *testing.T) { testProbePassesWakeup(t, factory) })
+	t.Run("WildcardWaitersWakeOnSpecificDeposit", func(t *testing.T) { testWildcardWaitersWake(t, factory) })
+	t.Run("KillWakesAllSelectors", func(t *testing.T) { testKillWakesAllSelectors(t, factory) })
+	t.Run("OverlappingSelectorsNoLostWakeup", func(t *testing.T) { testOverlappingSelectors(t, factory) })
 }
 
-func endpoint(t *testing.T, tr mpi.Transport, rank int) mpi.Comm {
+func endpoint(t testing.TB, tr mpi.Transport, rank int) mpi.Comm {
 	t.Helper()
 	c, err := tr.Endpoint(rank)
 	if err != nil {

@@ -93,6 +93,45 @@ func testErrhandler(t *testing.T, factory Factory) {
 	}
 }
 
+// testFailureAck pins "acknowledged counts as notified": a failure the
+// endpoint acknowledged before any call observed it is never delivered
+// to the errhandler — a named receive from the dead rank fails with
+// ErrPeerDead and the handler stays silent.
+func testFailureAck(t *testing.T, factory Factory) {
+	tr := factory(t, 3)
+	c0 := endpoint(t, tr, 0)
+	var mu sync.Mutex
+	fired := 0
+	c0.SetErrhandler(func(mpi.FailureInfo) {
+		mu.Lock()
+		fired++
+		mu.Unlock()
+	})
+	tr.Kill(2)
+	// A socket transport's endpoint learns of the death from a broadcast.
+	if l, ok := c0.(mpi.Liveness); ok {
+		deadline := time.Now().Add(10 * time.Second)
+		for l.Alive(2) {
+			if time.Now().After(deadline) {
+				t.Fatal("endpoint never saw rank 2's death")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if acked := c0.FailureAck(); len(acked) != 1 || acked[0] != 2 {
+		t.Fatalf("FailureAck = %v, want [2]", acked)
+	}
+	if _, err := c0.Recv(2, 4); !errors.Is(err, mpi.ErrPeerDead) {
+		t.Fatalf("named recv from acknowledged dead rank: err = %v, want ErrPeerDead", err)
+	}
+	mu.Lock()
+	n := fired
+	mu.Unlock()
+	if n != 0 {
+		t.Fatalf("handler fired %d times for an acknowledged failure, want 0", n)
+	}
+}
+
 // testAgree pins fault-tolerant agreement: the flag is AND-reduced
 // across live ranks, every live rank gets the same result, and dead
 // ranks are excused.
