@@ -355,31 +355,6 @@ func BenchmarkAblationObservedVsLinearOverhead(b *testing.B) {
 	b.ReportMetric(linear, "lin_3x@30h_min")
 }
 
-// BenchmarkAblationIncrementalCheckpoint measures the bytes saved by
-// page-granular incremental checkpointing on a CG-like state where only a
-// fraction of the image mutates between snapshots.
-func BenchmarkAblationIncrementalCheckpoint(b *testing.B) {
-	const stateSize = 1 << 20 // 1 MiB image
-	var fullBytes, incrBytes float64
-	for i := 0; i < b.N; i++ {
-		state := make([]byte, stateSize)
-		enc := &checkpoint.IncrementalEncoder{PageSize: 4096, FullEvery: 16}
-		fullBytes, incrBytes = 0, 0
-		for snap := 0; snap < 16; snap++ {
-			// Mutate ~2% of pages, like an iterative solver touching its
-			// active working set.
-			for p := 0; p < 5; p++ {
-				idx := (snap*7919 + p*104729) % stateSize
-				state[idx]++
-			}
-			img, st := enc.Encode(state)
-			fullBytes += float64(st.RawBytes)
-			incrBytes += float64(len(img))
-		}
-	}
-	b.ReportMetric(fullBytes/incrBytes, "size_reduction_x")
-}
-
 // BenchmarkAblationCompressedCheckpoint measures DEFLATE on a repetitive
 // scientific-state image through the storage middleware.
 func BenchmarkAblationCompressedCheckpoint(b *testing.B) {

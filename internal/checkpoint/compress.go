@@ -121,7 +121,6 @@ func (in *inflater) inflate() ([]byte, error) {
 // the way in — the "checkpoint compression" optimisation the paper
 // surveys (§2): "a method for reducing the checkpoint latency by reducing
 // the size of process images before writing them to stable storage."
-// Compression composes with incremental encoding (compress the deltas).
 // Images are deflated at deflateLevel.
 type CompressedStorage struct {
 	// Inner is the backing store.
@@ -404,3 +403,17 @@ func (s *CompressedStorage) Latest() (uint64, int, bool, error) { return s.Inner
 
 // Drop implements Storage.
 func (s *CompressedStorage) Drop(gen uint64) error { return s.Inner.Drop(gen) }
+
+func appendUvarint(buf []byte, v uint64) []byte {
+	var tmp [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(tmp[:], v)
+	return append(buf, tmp[:n]...)
+}
+
+func readUvarint(buf []byte) (uint64, []byte, error) {
+	v, n := binary.Uvarint(buf)
+	if n <= 0 {
+		return 0, nil, fmt.Errorf("checkpoint: truncated varint")
+	}
+	return v, buf[n:], nil
+}

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/simmpi"
 )
 
 // The decompression error paths matter operationally: a restart that
@@ -415,4 +417,96 @@ func TestCompressedReadAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, read); avg > 2 {
 		t.Errorf("CompressedStorage.Read allocates %.2f per image, want <= 2", avg)
 	}
+}
+
+func TestCompressedStorageRoundTrip(t *testing.T) {
+	inner := NewMemStorage()
+	s := NewCompressedStorage(inner)
+	// Highly compressible state.
+	state := bytes.Repeat([]byte("abcd"), 4096)
+	if err := s.Write(1, 0, state); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Read(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, state) {
+		t.Fatal("round trip mismatch")
+	}
+	// Verify it actually compressed on the inner store.
+	raw, err := inner.Read(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) >= len(state)/4 {
+		t.Fatalf("stored %d bytes for a %d-byte repetitive image", len(raw), len(state))
+	}
+}
+
+func TestCompressedStorageDelegates(t *testing.T) {
+	s := NewCompressedStorage(NewMemStorage())
+	if _, _, ok, err := s.Latest(); err != nil || ok {
+		t.Fatalf("Latest on empty: %v %v", ok, err)
+	}
+	if err := s.Write(2, 0, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(2, 1); err != nil {
+		t.Fatal(err)
+	}
+	gen, n, ok, err := s.Latest()
+	if err != nil || !ok || gen != 2 || n != 1 {
+		t.Fatalf("Latest = %d/%d/%v/%v", gen, n, ok, err)
+	}
+	if err := s.Drop(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok, _ := s.Latest(); ok {
+		t.Fatal("Drop did not propagate")
+	}
+}
+
+func TestCompressedStorageDetectsCorruption(t *testing.T) {
+	inner := NewMemStorage()
+	s := NewCompressedStorage(inner)
+	if err := s.Write(1, 0, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	// Corrupt the stored compressed bytes directly.
+	if err := inner.Write(1, 0, []byte("definitely not deflate")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Read(1, 0); err == nil {
+		t.Fatal("corrupt stream decoded successfully")
+	}
+}
+
+func TestCompressedThroughClientEndToEnd(t *testing.T) {
+	// The client sees a normal Storage; compression is transparent.
+	store := NewCompressedStorage(NewMemStorage())
+	runWorld(t, 2, func(c *simmpi.Comm) error {
+		cl, err := NewClient(c, Config{Storage: store})
+		if err != nil {
+			return err
+		}
+		state := bytes.Repeat([]byte{byte(c.Rank())}, 10000)
+		if err := cl.Checkpoint(state, true); err != nil {
+			return err
+		}
+		got, ok, err := cl.Restore()
+		if err != nil || !ok {
+			return err
+		}
+		if !bytes.Equal(got, state) {
+			t.Errorf("rank %d: restore mismatch", c.Rank())
+		}
+		return nil
+	})
 }

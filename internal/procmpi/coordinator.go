@@ -127,14 +127,20 @@ type Coordinator struct {
 	rendezvoused bool     // initial all-ranks rendezvous completed
 	pending      []*wconn // conns awaiting the rendezvous welcome
 
-	// Fault-tolerant collective round (Agree/Shrink), under mu. A round
-	// completes when every rank is arrived or excused (dead, byed, or
-	// disconnected) with at least one live arrival; each reply echoes
-	// that rank's own request sequence so stale results are ignored.
-	ftArrived []bool
-	ftSeqs    []int32
-	ftShrink  []bool
-	ftFlag    bool
+	// round is the fault-tolerant round behind Agree and Shrink, under
+	// mu: death and connection loss excuse a rank. seqs holds each
+	// arrival's request sequence, which its result echoes so a stale
+	// one is ignored; results are the completed round's replies, queued
+	// under mu and written by sendResults.
+	round   *mpi.Round
+	seqs    []int32
+	results []result
+}
+
+// result is one queued round-result frame and the worker it goes to.
+type result struct {
+	wc *wconn
+	f  mpi.Frame
 }
 
 // NewCoordinator starts a hub on ln (the caller picks unix vs tcp by
@@ -156,11 +162,8 @@ func NewCoordinator(ln net.Listener, cfg CoordinatorConfig) (*Coordinator, error
 		byes:   make([]bool, cfg.Size),
 		acked:  make([]bool, cfg.Size),
 		aliveN: cfg.Size,
-
-		ftArrived: make([]bool, cfg.Size),
-		ftSeqs:    make([]int32, cfg.Size),
-		ftShrink:  make([]bool, cfg.Size),
-		ftFlag:    true,
+		round:  mpi.NewRound(cfg.Size),
+		seqs:   make([]int32, cfg.Size),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	go c.acceptLoop()
@@ -310,8 +313,7 @@ func (c *Coordinator) Kill(rank int) {
 	if c.cfg.OnDeath != nil {
 		c.cfg.OnDeath(rank)
 	}
-	// The death may have been the last thing an FT round was waiting on.
-	c.ftMaybeComplete()
+	c.sendResults()
 }
 
 // markDeadLocked flips the dead bit and emits the forensic record; the
@@ -321,6 +323,7 @@ func (c *Coordinator) markDeadLocked(rank int) {
 	c.aliveN--
 	c.flight.Emit("dead", rank, -1, 0, 0)
 	c.cond.Broadcast()
+	c.excuseLocked(rank)
 	// A rank that dies before the rendezvous no longer holds it up.
 	c.rendezvousLocked()
 }
@@ -382,7 +385,8 @@ func (c *Coordinator) Aborted() bool {
 
 // Interrupt implements mpi.Transport: pause the epoch and wait until
 // every live worker has acknowledged (its blocked operations released),
-// so the pause is as synchronous as the in-process backend's.
+// so the pause is as synchronous as the in-process backend's. The open
+// Agree/Shrink round is discarded with the epoch.
 func (c *Coordinator) Interrupt() {
 	c.mu.Lock()
 	if c.aborted || c.closed || c.phase != phaseRun {
@@ -393,7 +397,7 @@ func (c *Coordinator) Interrupt() {
 	for i := range c.acked {
 		c.acked[i] = false
 	}
-	c.ftResetLocked() // workers abandon FT rounds on interrupt
+	c.round.Reset()
 	c.flight.Emit("interrupt", -1, -1, 0, 0)
 	peers := c.liveConnsLocked()
 	c.mu.Unlock()
@@ -425,6 +429,9 @@ func (c *Coordinator) Revive(rank int) {
 	c.dead[rank] = false
 	c.byes[rank] = false
 	c.aliveN++
+	if c.conns[rank] != nil {
+		c.round.Admit(rank)
+	}
 	c.flight.Emit("revive", rank, -1, 0, 0)
 	peers := c.liveConnsLocked()
 	c.cond.Broadcast()
@@ -456,112 +463,61 @@ func (c *Coordinator) Resume() {
 	c.waitAcks()
 	c.mu.Lock()
 	c.phase = phaseRun
-	c.ftResetLocked()
 	c.flight.Emit("resume", -1, -1, 0, 0)
 	c.mu.Unlock()
 }
 
-// ftResetLocked abandons the in-progress FT round; workers re-request
-// with fresh sequence numbers, so a late reply cannot be mistaken for a
-// new round's.
-func (c *Coordinator) ftResetLocked() {
-	for i := range c.ftArrived {
-		c.ftArrived[i] = false
-		c.ftShrink[i] = false
-	}
-	c.ftFlag = true
-}
-
-// ftArrive records one rank's contribution to the FT round.
-func (c *Coordinator) ftArrive(wc *wconn, seq int32, flag, shrink bool) {
+// arrive records one rank's arrival in the round. Only traffic of the
+// running epoch counts; an interrupted round's arrivals were discarded.
+func (c *Coordinator) arrive(wc *wconn, f mpi.Frame) {
+	flag := len(f.Payload) > 0 && f.Payload[0] != 0
+	wantSurvivors := len(f.Payload) > 1 && f.Payload[1] != 0
 	c.mu.Lock()
-	if c.conns[wc.rank] != wc || c.dead[wc.rank] || c.aborted || c.closed || c.phase != phaseRun {
-		c.mu.Unlock()
-		return
-	}
-	r := wc.rank
-	c.ftArrived[r] = true
-	c.ftSeqs[r] = seq
-	c.ftShrink[r] = shrink
-	if !flag {
-		c.ftFlag = false
+	if c.conns[wc.rank] == wc && !c.dead[wc.rank] && !c.aborted && !c.closed && c.inEpochLocked(wc.rank) {
+		c.seqs[wc.rank] = f.Tag
+		if n := c.round.Arrive(wc.rank, flag, wantSurvivors); n != 0 {
+			if ended, _ := c.round.Ended(n); ended {
+				c.queueResultsLocked()
+			}
+		}
 	}
 	c.mu.Unlock()
-	c.ftMaybeComplete()
+	c.sendResults()
 }
 
-// ftMaybeComplete completes the FT round if every rank is arrived or
-// excused (dead, byed, disconnected) and at least one live rank
-// arrived. Replies are snapshotted under the lock and written after, in
-// the broadcast convention.
-func (c *Coordinator) ftMaybeComplete() {
-	c.mu.Lock()
-	if c.aborted || c.closed || c.phase != phaseRun {
-		c.mu.Unlock()
-		return
+// excuseLocked releases the round from waiting on rank.
+func (c *Coordinator) excuseLocked(rank int) {
+	if c.round.Excuse(rank) {
+		c.queueResultsLocked()
 	}
-	arrivals := 0
-	for r := 0; r < c.cfg.Size; r++ {
-		if c.ftArrived[r] {
-			if !c.dead[r] && c.conns[r] != nil {
-				arrivals++
-			}
-			continue
-		}
-		if c.dead[r] || c.byes[r] || c.conns[r] == nil {
-			continue // excused: cannot and need not contribute
-		}
-		c.mu.Unlock()
-		return // a live rank has yet to arrive
-	}
-	if arrivals == 0 {
-		c.mu.Unlock()
-		return
-	}
-	flag := c.ftFlag
-	var survivors []int
-	for r := 0; r < c.cfg.Size; r++ {
-		if c.ftArrived[r] && !c.dead[r] && c.conns[r] != nil {
-			survivors = append(survivors, r)
-		}
-	}
-	type reply struct {
-		wc *wconn
-		f  mpi.Frame
-	}
-	var replies []reply
-	var surv []byte
-	anyShrink := false
-	for r := 0; r < c.cfg.Size; r++ {
-		if !c.ftArrived[r] || c.dead[r] || c.conns[r] == nil {
-			continue
-		}
-		if c.ftShrink[r] {
-			anyShrink = true
-			if surv == nil {
-				surv = encodeSurvivors(survivors)
-			}
-			replies = append(replies, reply{c.conns[r], mpi.Frame{
-				Type: frameShrinkResult, Src: -1, Dst: int32(r), Tag: c.ftSeqs[r], Payload: surv,
-			}})
-		} else {
-			var p byte
-			if flag {
-				p = 1
-			}
-			replies = append(replies, reply{c.conns[r], mpi.Frame{
-				Type: frameAgreeResult, Src: -1, Dst: int32(r), Tag: c.ftSeqs[r], Payload: []byte{p},
-			}})
-		}
-	}
-	c.ftResetLocked()
-	c.mu.Unlock()
-	if anyShrink {
+}
+
+// queueResultsLocked queues the just-completed round's result for each
+// of its survivors; sendResults writes them once the caller has
+// unlocked (the broadcast convention: a death's broadcast goes out
+// before the results of a round it completed).
+func (c *Coordinator) queueResultsLocked() {
+	survivors := c.round.Survivors()
+	if survivors != nil {
 		c.flight.Emit("shrink", -1, -1, len(survivors), 0)
 	}
-	for _, rp := range replies {
-		if err := c.writeTo(rp.wc, rp.f); err != nil {
-			c.connLost(rp.wc)
+	payload := encodeRoundResult(c.round.Flag(), survivors)
+	c.round.ForEachSurvivor(func(r int) {
+		c.results = append(c.results, result{c.conns[r], mpi.Frame{
+			Type: frameRoundResult, Src: -1, Dst: int32(r), Tag: c.seqs[r], Payload: payload,
+		}})
+	})
+}
+
+// sendResults writes the queued round results.
+func (c *Coordinator) sendResults() {
+	c.mu.Lock()
+	out := c.results
+	c.results = nil
+	c.mu.Unlock()
+	for _, res := range out {
+		if err := c.writeTo(res.wc, res.f); err != nil {
+			c.connLost(res.wc)
 		}
 	}
 }
@@ -674,6 +630,9 @@ func (c *Coordinator) handshake(conn net.Conn) {
 	atomic.StoreInt64(&wc.lastBeat, time.Now().UnixNano())
 	c.conns[rank] = wc
 	c.pids[rank] = pid
+	if !c.dead[rank] {
+		c.round.Admit(rank)
+	}
 	if wc.gen > 1 {
 		c.met.reconnects.Inc()
 	}
@@ -767,15 +726,10 @@ func (c *Coordinator) handleFrame(wc *wconn, f mpi.Frame, pb *mpi.PooledBuf) {
 		if c.cfg.OnBye != nil {
 			c.cfg.OnBye(wc.rank, completed)
 		}
-		// A departed rank is excused from FT rounds.
-		c.ftMaybeComplete()
-	case frameAgree:
-		flag := len(f.Payload) > 0 && f.Payload[0] != 0
+		c.sendResults()
+	case frameRound:
+		c.arrive(wc, f)
 		release()
-		c.ftArrive(wc, f.Tag, flag, false)
-	case frameShrink:
-		release()
-		c.ftArrive(wc, f.Tag, true, true)
 	case frameStep:
 		release()
 		if c.cfg.OnStep != nil {
@@ -792,6 +746,13 @@ func (c *Coordinator) handleFrame(wc *wconn, f mpi.Frame, pb *mpi.PooledBuf) {
 	}
 }
 
+// inEpochLocked reports whether src's traffic belongs to the running
+// epoch: during a resume, only once src has acked and the resume
+// broadcast has fully landed (see phaseResuming).
+func (c *Coordinator) inEpochLocked(src int) bool {
+	return c.phase == phaseRun || c.phase == phaseResuming && c.resumeReady && c.acked[src]
+}
+
 // route forwards one data frame src → dst, enforcing the liveness and
 // epoch gates at the hub.
 func (c *Coordinator) route(wc *wconn, f mpi.Frame) {
@@ -804,8 +765,7 @@ func (c *Coordinator) route(wc *wconn, f mpi.Frame) {
 	case int(f.Src) != src:
 		// A worker may only speak as its own rank.
 	case c.dead[src]:
-	case c.phase == phaseInterrupted:
-	case c.phase == phaseResuming && !(c.resumeReady && c.acked[src]):
+	case !c.inEpochLocked(src):
 	case dst < 0 || dst >= c.cfg.Size, c.dead[dst], c.conns[dst] == nil:
 	default:
 		drop = false
@@ -835,6 +795,7 @@ func (c *Coordinator) connLost(wc *wconn) {
 		return
 	}
 	c.conns[wc.rank] = nil
+	c.excuseLocked(wc.rank)
 	died := false
 	if !c.dead[wc.rank] && !c.aborted && !c.closed && !c.byes[wc.rank] {
 		c.markDeadLocked(wc.rank)
@@ -850,8 +811,7 @@ func (c *Coordinator) connLost(wc *wconn) {
 			c.cfg.OnDeath(wc.rank)
 		}
 	}
-	// Losing the connection excuses the rank from any FT round.
-	c.ftMaybeComplete()
+	c.sendResults()
 }
 
 // monitorLoop watches heartbeats: a worker silent past the timeout is

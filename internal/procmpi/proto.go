@@ -64,19 +64,15 @@ const (
 	// frameAppErr reports an application error; the payload is the error
 	// text.
 	frameAppErr
-	// frameAgree contributes to a fault-tolerant agreement round
-	// (mpi.Comm.Agree): Tag is the worker's request sequence number, the
-	// payload is one flag byte. Worker → hub.
-	frameAgree
-	// frameAgreeResult completes an agreement round: Tag echoes the
-	// worker's request sequence, the payload is the agreed flag byte.
-	frameAgreeResult
-	// frameShrink contributes to a shrink round (mpi.Comm.Shrink): Tag is
-	// the request sequence. Worker → hub.
-	frameShrink
-	// frameShrinkResult completes a shrink round: Tag echoes the request
-	// sequence, the payload is the agreed survivor set.
-	frameShrinkResult
+	// frameRound arrives in the fault-tolerant round behind
+	// mpi.Comm.Agree and Shrink: Tag is the worker's request sequence,
+	// the payload two bytes, the flag and whether the survivors are
+	// wanted (a Shrink). Worker → hub.
+	frameRound
+	// frameRoundResult completes a round: Tag echoes the request
+	// sequence; the payload is the agreed flag byte and the survivor
+	// list (empty unless a Shrink arrived).
+	frameRoundResult
 )
 
 // encodeHello builds the hello payload: the worker's PID as 8 bytes big
@@ -94,66 +90,60 @@ func decodeHello(p []byte) (pid int, err error) {
 	return int(binary.BigEndian.Uint64(p)), nil
 }
 
-// encodeWelcome builds the welcome payload: world size, interrupted
-// flag, and the dead-rank set at join time.
+// encodeWelcome builds the welcome payload: world size as a uint32,
+// the interrupted flag, and the dead-rank set at join time.
 func encodeWelcome(size int, interrupted bool, dead []int) []byte {
-	b := make([]byte, 0, 9+4*len(dead))
-	var u [4]byte
-	binary.BigEndian.PutUint32(u[:], uint32(size))
-	b = append(b, u[:]...)
-	if interrupted {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
+	b := binary.BigEndian.AppendUint32(make([]byte, 0, 9+4*len(dead)), uint32(size))
+	return appendRanks(append(b, flagByte(interrupted)), dead)
+}
+
+func decodeWelcome(p []byte) (size int, interrupted bool, dead []int, err error) {
+	if len(p) < 5 {
+		return 0, false, nil, fmt.Errorf("procmpi: welcome payload %d bytes", len(p))
 	}
-	binary.BigEndian.PutUint32(u[:], uint32(len(dead)))
-	b = append(b, u[:]...)
-	for _, r := range dead {
-		binary.BigEndian.PutUint32(u[:], uint32(r))
-		b = append(b, u[:]...)
+	dead, err = decodeRanks(p[5:])
+	return int(binary.BigEndian.Uint32(p)), p[4] != 0, dead, err
+}
+
+// encodeRoundResult builds a round result's payload: the agreed flag,
+// then the survivors.
+func encodeRoundResult(flag bool, survivors []int) []byte {
+	return appendRanks(append(make([]byte, 0, 5+4*len(survivors)), flagByte(flag)), survivors)
+}
+
+func decodeRoundResult(p []byte) (flag bool, survivors []int, err error) {
+	if len(p) < 1 {
+		return false, nil, fmt.Errorf("procmpi: round result payload %d bytes", len(p))
+	}
+	survivors, err = decodeRanks(p[1:])
+	return p[0] != 0, survivors, err
+}
+
+// appendRanks appends a rank list: a uint32 count, then each rank as a
+// uint32.
+func appendRanks(b []byte, ranks []int) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(ranks)))
+	for _, r := range ranks {
+		b = binary.BigEndian.AppendUint32(b, uint32(r))
 	}
 	return b
 }
 
-// encodeSurvivors builds the shrink-result payload: uint32 count
-// followed by the survivor ranks as uint32s (the welcome's dead-set
-// layout).
-func encodeSurvivors(ranks []int) []byte {
-	b := make([]byte, 4+4*len(ranks))
-	binary.BigEndian.PutUint32(b, uint32(len(ranks)))
-	for i, r := range ranks {
-		binary.BigEndian.PutUint32(b[4+4*i:], uint32(r))
+// decodeRanks decodes a rank list that fills p exactly.
+func decodeRanks(p []byte) ([]int, error) {
+	if len(p) < 4 || len(p) != 4+4*int(binary.BigEndian.Uint32(p)) {
+		return nil, fmt.Errorf("procmpi: rank list of %d bytes", len(p))
 	}
-	return b
-}
-
-func decodeSurvivors(p []byte) ([]int, error) {
-	if len(p) < 4 {
-		return nil, fmt.Errorf("procmpi: shrink payload %d bytes", len(p))
-	}
-	n := int(binary.BigEndian.Uint32(p))
-	if len(p) != 4+4*n {
-		return nil, fmt.Errorf("procmpi: shrink payload %d bytes for %d survivors", len(p), n)
-	}
-	out := make([]int, n)
+	out := make([]int, (len(p)-4)/4)
 	for i := range out {
 		out[i] = int(binary.BigEndian.Uint32(p[4+4*i:]))
 	}
 	return out, nil
 }
 
-func decodeWelcome(p []byte) (size int, interrupted bool, dead []int, err error) {
-	if len(p) < 9 {
-		return 0, false, nil, fmt.Errorf("procmpi: welcome payload %d bytes", len(p))
+func flagByte(b bool) byte {
+	if b {
+		return 1
 	}
-	size = int(binary.BigEndian.Uint32(p))
-	interrupted = p[4] != 0
-	n := int(binary.BigEndian.Uint32(p[5:]))
-	if len(p) != 9+4*n {
-		return 0, false, nil, fmt.Errorf("procmpi: welcome payload %d bytes for %d dead", len(p), n)
-	}
-	for i := 0; i < n; i++ {
-		dead = append(dead, int(binary.BigEndian.Uint32(p[9+4*i:])))
-	}
-	return size, interrupted, dead, nil
+	return 0
 }

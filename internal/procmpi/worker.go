@@ -68,10 +68,10 @@ type Worker struct {
 	sent  []atomic.Uint64
 	recvd []atomic.Uint64
 
-	// Fault-tolerant collective state: ftMu serialises Agree/Shrink
-	// calls from this endpoint; the round's completion lands via
-	// frameAgreeResult/frameShrinkResult (matched on ftSeq) and is
-	// signalled through ftCond. The ft fields are guarded by box's lock.
+	// Fault-tolerant round state: ftMu serialises Agree/Shrink calls
+	// from this endpoint; the round's result lands via frameRoundResult
+	// (matched on ftSeq) and is signalled through ftCond. The other ft
+	// fields are guarded by box's lock.
 	ftMu        sync.Mutex
 	ftCond      *sync.Cond
 	ftSeq       int32
@@ -377,94 +377,56 @@ func (w *Worker) SetErrhandler(fn func(mpi.FailureInfo)) {
 // the acknowledged failed ranks in ascending order.
 func (w *Worker) FailureAck() []int { return w.fault.Ack(&w.st) }
 
-// ftStart opens a fault-tolerant collective round: it bumps the request
-// sequence (stale results from an interrupted round are ignored by the
-// seq echo) after verifying the endpoint may still participate. The
-// caller holds ftMu.
-func (w *Worker) ftStart() (int32, error) {
-	if err := w.st.ErrIfDown(w.rank); err != nil {
-		return 0, err
-	}
-	w.box.Lock()
-	defer w.box.Unlock()
-	w.ftSeq++
-	w.ftDone = false
-	return w.ftSeq, nil
-}
-
-// ftWait parks until the round identified by seq completes or the
-// endpoint leaves the world (abort, own death, epoch interrupt).
-func (w *Worker) ftWait(seq int32) error {
-	w.box.Lock()
-	defer w.box.Unlock()
-	for {
-		if err := w.st.ErrIfDown(w.rank); err != nil {
-			return err
-		}
-		if w.ftDone && w.ftSeq == seq {
-			return nil
-		}
-		w.ftCond.Wait()
-	}
-}
-
 // Agree implements mpi.Comm: a fault-tolerant all-reduce of one flag
 // (logical AND) across the live ranks, coordinated hub-side. Dead ranks
 // are excused; every live rank gets the same result.
 func (w *Worker) Agree(flag bool) (bool, error) {
-	w.ftMu.Lock()
-	defer w.ftMu.Unlock()
-	seq, err := w.ftStart()
-	if err != nil {
-		return false, err
-	}
-	var p byte
-	if flag {
-		p = 1
-	}
-	f := mpi.Frame{Type: frameAgree, Src: int32(w.rank), Dst: -1, Tag: seq, Payload: []byte{p}}
-	if err := w.writeFrame(f); err != nil {
-		return false, mpi.ErrAborted
-	}
-	if err := w.ftWait(seq); err != nil {
-		return false, err
-	}
-	w.box.Lock()
-	out := w.ftFlag
-	w.box.Unlock()
-	return out, nil
+	out, _, err := w.round(flag, false)
+	return out, err
 }
 
 // Shrink implements mpi.Comm: the live ranks agree on the survivor set
-// (coordinated hub-side, same round machinery as Agree) and each wraps
-// itself in a dense-renumbered communicator over that set.
+// (the same hub-side round as Agree) and each wraps itself in a
+// dense-renumbered communicator over that set.
 func (w *Worker) Shrink() (mpi.Comm, error) {
-	w.ftMu.Lock()
-	survivors, err := w.shrinkRound()
-	w.ftMu.Unlock()
+	_, survivors, err := w.round(true, true)
 	if err != nil {
 		return nil, err
 	}
 	return mpi.FinishShrink(w, survivors)
 }
 
-func (w *Worker) shrinkRound() ([]int, error) {
-	seq, err := w.ftStart()
-	if err != nil {
-		return nil, err
-	}
-	f := mpi.Frame{Type: frameShrink, Src: int32(w.rank), Dst: -1, Tag: seq}
-	if err := w.writeFrame(f); err != nil {
-		return nil, mpi.ErrAborted
-	}
-	if err := w.ftWait(seq); err != nil {
-		return nil, err
+// round arrives in the hub's round — wantSurvivors for a Shrink — and
+// parks until its result lands or the endpoint leaves the world (abort,
+// own death, epoch interrupt). Each call bumps the request sequence, so
+// a late result of an abandoned round is ignored.
+func (w *Worker) round(flag, wantSurvivors bool) (bool, []int, error) {
+	w.ftMu.Lock()
+	defer w.ftMu.Unlock()
+	if err := w.st.ErrIfDown(w.rank); err != nil {
+		return false, nil, err
 	}
 	w.box.Lock()
-	survivors := make([]int, len(w.ftSurvivors))
-	copy(survivors, w.ftSurvivors)
+	w.ftSeq++
+	w.ftDone = false
+	seq := w.ftSeq
 	w.box.Unlock()
-	return survivors, nil
+	f := mpi.Frame{Type: frameRound, Src: int32(w.rank), Dst: -1, Tag: seq,
+		Payload: []byte{flagByte(flag), flagByte(wantSurvivors)}}
+	if err := w.writeFrame(f); err != nil {
+		return false, nil, mpi.ErrAborted
+	}
+	w.box.Lock()
+	defer w.box.Unlock()
+	for {
+		if err := w.st.ErrIfDown(w.rank); err != nil {
+			return false, nil, err
+		}
+		if w.ftDone {
+			return w.ftFlag, w.ftSurvivors, nil
+		}
+		w.ftCond.Wait()
+	}
 }
 
 func (w *Worker) writeFrame(f mpi.Frame) error {
@@ -489,7 +451,7 @@ func (w *Worker) markConnDown() {
 	}
 }
 
-// wake unparks every waiter — receives and an FT round — so each
+// wake unparks every waiter — receives and a round — so each
 // re-checks the liveness state it waits on.
 func (w *Worker) wake() {
 	w.box.WakeAll()
@@ -555,26 +517,15 @@ func (w *Worker) handleFrame(f mpi.Frame, pb *mpi.PooledBuf) {
 	case frameKilled:
 		w.st.Kill(w.rank)
 		w.wake()
-	case frameAgreeResult:
-		flag := len(f.Payload) > 0 && f.Payload[0] != 0
-		w.ftComplete(f.Tag, func() { w.ftFlag = flag })
-	case frameShrinkResult:
-		if survivors, err := decodeSurvivors(f.Payload); err == nil {
-			w.ftComplete(f.Tag, func() { w.ftSurvivors = survivors })
+	case frameRoundResult:
+		flag, survivors, err := decodeRoundResult(f.Payload)
+		w.box.Lock()
+		if err == nil && f.Tag == w.ftSeq && !w.ftDone {
+			w.ftDone, w.ftFlag, w.ftSurvivors = true, flag, survivors
+			w.ftCond.Broadcast()
 		}
+		w.box.Unlock()
 	}
-}
-
-// ftComplete records an FT round's result, through set, if it answers
-// the round in flight.
-func (w *Worker) ftComplete(seq int32, set func()) {
-	w.box.Lock()
-	if seq == w.ftSeq && !w.ftDone {
-		w.ftDone = true
-		set()
-		w.ftCond.Broadcast()
-	}
-	w.box.Unlock()
 }
 
 func (w *Worker) heartbeatLoop(interval time.Duration) {

@@ -49,11 +49,11 @@ type World struct {
 	st    mpi.State
 	alive atomic.Int64
 
-	// agreeGate and shrinkGate host the two fault-tolerant collectives
-	// (mpi.Comm.Agree / Shrink): live-arrival barriers that kills excuse
-	// instead of wedging.
-	agreeGate  *ftGate
-	shrinkGate *ftGate
+	// ft is the round behind mpi.Comm.Agree and Shrink, guarded by ftMu;
+	// a kill excuses the rank. Waiters park on ftCond.
+	ftMu   sync.Mutex
+	ftCond sync.Cond
+	ft     *mpi.Round
 
 	// livenessWakeups counts registered waiters notified by liveness
 	// broadcasts (Kill/Abort/Interrupt/Resume) — an upper bound on
@@ -142,8 +142,8 @@ func NewWorld(n int, opts ...Option) (*World, error) {
 	}
 	w.met = newWorldMetrics(w.reg, w.size)
 	w.flight = o.Flight
-	w.agreeGate = newFtGate(w)
-	w.shrinkGate = newFtGate(w)
+	w.ft = mpi.NewRound(n)
+	w.ftCond.L = &w.ftMu
 	dense := n <= denseCountThreshold
 	for i := range w.comms {
 		c := &Comm{world: w, rank: i, stripe: w.table.shardFor(i)}
@@ -194,8 +194,7 @@ func (w *World) Kill(rank int) {
 	w.met.kills.Inc()
 	w.flight.Emit("dead", rank, -1, 0, 0)
 	w.livenessWakeups.Add(uint64(w.table.wakeAll()))
-	w.agreeGate.onKill(rank)
-	w.shrinkGate.onKill(rank)
+	w.ftUpdate(func(r *mpi.Round) { r.Excuse(rank) })
 }
 
 // Alive reports whether the rank is still alive.
@@ -250,8 +249,7 @@ func (w *World) Abort() {
 	w.met.aborts.Inc()
 	w.flight.Emit("abort", -1, -1, 0, 0)
 	w.livenessWakeups.Add(uint64(w.table.wakeAll()))
-	w.agreeGate.wake()
-	w.shrinkGate.wake()
+	w.ftUpdate(nil)
 }
 
 // Aborted reports whether the world has been aborted.
@@ -262,7 +260,9 @@ func (w *World) Aborted() bool { return w.st.Aborted.Load() }
 // still be matched; new deposits are dropped). Unlike Abort the world
 // stays usable — the orchestrator revives dead ranks, then calls Resume
 // to start a fresh epoch in which every rank restarts from the last
-// checkpoint. Interrupting an interrupted or aborted world is a no-op.
+// checkpoint. The open Agree/Shrink round is discarded, so none of its
+// arrivals leaks into the next epoch. Interrupting an interrupted or
+// aborted world is a no-op.
 func (w *World) Interrupt() {
 	if w.st.Aborted.Load() || w.st.Interrupted.Swap(true) {
 		return
@@ -270,8 +270,7 @@ func (w *World) Interrupt() {
 	w.met.interrupts.Inc()
 	w.flight.Emit("interrupt", -1, -1, 0, 0)
 	w.livenessWakeups.Add(uint64(w.table.wakeAll()))
-	w.agreeGate.wake()
-	w.shrinkGate.wake()
+	w.ftUpdate((*mpi.Round).Reset)
 }
 
 // Interrupted reports whether the world is paused for recovery.
@@ -293,6 +292,7 @@ func (w *World) Revive(rank int) {
 	w.met.revives.Inc()
 	w.flight.Emit("revive", rank, -1, 0, 0)
 	w.table.shardFor(rank).Purge(rank)
+	w.ftUpdate(func(r *mpi.Round) { r.Admit(rank) })
 }
 
 // Resume ends an interrupt and starts a fresh epoch: every mailbox with
@@ -314,8 +314,6 @@ func (w *World) Resume() {
 	w.st.Interrupted.Store(false)
 	w.flight.Emit("resume", -1, -1, 0, 0)
 	w.livenessWakeups.Add(uint64(w.table.wakeAll()))
-	w.agreeGate.reset()
-	w.shrinkGate.reset()
 }
 
 // RankError pairs a rank with the error its function returned.

@@ -40,6 +40,7 @@ func RunSuite(t *testing.T, factory Factory) {
 	t.Run("Errhandler", func(t *testing.T) { testErrhandler(t, factory) })
 	t.Run("FailureAck", func(t *testing.T) { testFailureAck(t, factory) })
 	t.Run("Agree", func(t *testing.T) { testAgree(t, factory) })
+	t.Run("AgreeAcrossEpoch", func(t *testing.T) { testAgreeAcrossEpoch(t, factory) })
 	t.Run("Shrink", func(t *testing.T) { testShrink(t, factory) })
 	t.Run("ShrinkRacesCollective", func(t *testing.T) { testShrinkRacesCollective(t, factory) })
 	t.Run("TargetedWakeupRoutesEachTagToItsWaiter", func(t *testing.T) { testTargetedWakeup(t, factory) })

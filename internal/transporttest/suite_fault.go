@@ -195,6 +195,57 @@ func testAgree(t *testing.T, factory Factory) {
 	}
 }
 
+// testAgreeAcrossEpoch pins the epoch boundary of the agreement round:
+// an arrival interrupted mid-round is discarded, so its flag does not
+// leak into the next epoch's round and its rank may arrive again; and a
+// rank revived during the pause owes the next round like any other.
+func testAgreeAcrossEpoch(t *testing.T, factory Factory) {
+	const n = 3
+	tr := factory(t, n)
+	tr.Kill(2)
+	c0 := endpoint(t, tr, 0)
+	parked := make(chan error, 1)
+	go func() {
+		_, err := c0.Agree(false)
+		parked <- err
+	}()
+	// Give the arrival time to land (on a socket transport, at the hub)
+	// before the interrupt; the round cannot complete without rank 1.
+	time.Sleep(50 * time.Millisecond)
+	tr.Interrupt()
+	if err := <-parked; !errors.Is(err, mpi.ErrInterrupted) {
+		t.Fatalf("agree across interrupt: err = %v, want ErrInterrupted", err)
+	}
+	tr.Revive(2)
+	tr.Resume()
+
+	results := make(chan error, n)
+	for r := 0; r < n; r++ {
+		c := endpoint(t, tr, r)
+		go func(rank int) {
+			out, err := c.Agree(true)
+			switch {
+			case err != nil:
+				results <- fmt.Errorf("rank %d agree after resume: %w", rank, err)
+			case !out:
+				results <- fmt.Errorf("rank %d agreed false, want true: the interrupted round leaked", rank)
+			default:
+				results <- nil
+			}
+		}(r)
+	}
+	for r := 0; r < n; r++ {
+		select {
+		case err := <-results:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a rank never left the round after resume")
+		}
+	}
+}
+
 // testShrink pins shrink-and-continue: the survivors agree on a
 // communicator excluding the dead rank, with dense ascending
 // renumbering, and traffic flows over it.
